@@ -43,12 +43,8 @@ import time
 
 from _common import emit
 
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
+from repro.community import Community
 from repro.skipindex.encoder import IndexMode
-from repro.terminal.api import Publisher
-from repro.terminal.session import Terminal
 from repro.workloads.docgen import hospital
 from repro.workloads.rulegen import hospital_rules
 from repro.xmlstream.tree import tree_to_events
@@ -79,35 +75,43 @@ def calibrate() -> float:
     return best
 
 
+def publish_point(events, mode: IndexMode):
+    """A fresh community with ``events`` published to every subject.
+
+    Returns the readers, the document and the publish wall time.
+    """
+    community = Community()
+    owner = community.enroll("owner")
+    readers = [community.enroll(subject) for subject in SUBJECTS]
+    start = time.perf_counter()
+    document = owner.publish(
+        events, hospital_rules(), to=readers, doc_id="bench-doc",
+        index_mode=mode, chunk_size=CHUNK,
+    )
+    return readers, document, time.perf_counter() - start
+
+
+def pull(reader, document, transfer=None) -> None:
+    """One full pull session through the reader's card."""
+    with reader.open(document, transfer=transfer) as session:
+        session.query().finish()
+
+
 def _measure_point(patients: int, mode: IndexMode, repeats: int) -> dict:
     """Best-of-``repeats`` wall times for one corpus point."""
     events = list(tree_to_events(hospital(n_patients=patients)))
-    rules = hospital_rules()
     best = None
     for _ in range(repeats):
-        pki = SimulatedPKI()
-        pki.enroll("owner")
-        for subject in SUBJECTS:
-            pki.enroll(subject)
-        store = DSPStore()
-        dsp = DSPServer(store)
-        publisher = Publisher("owner", store, pki)
-        start = time.perf_counter()
-        publisher.publish(
-            "bench-doc", events, rules, list(SUBJECTS),
-            index_mode=mode, chunk_size=CHUNK,
-        )
-        publish_s = time.perf_counter() - start
+        readers, document, publish_s = publish_point(events, mode)
         cold_s = warm_s = 0.0
-        for subject in SUBJECTS:
+        for reader in readers:
             start = time.perf_counter()
-            terminal = Terminal(subject, dsp, pki)
-            terminal.query("bench-doc", owner="owner")
+            pull(reader, document)
             cold_s += time.perf_counter() - start
             start = time.perf_counter()
-            terminal.query("bench-doc", owner="owner")
+            pull(reader, document)
             warm_s += time.perf_counter() - start
-        plaintext = publisher.container("bench-doc").header.total_length
+        plaintext = document.container.header.total_length
         sample = {
             "publish_s": publish_s,
             "cold_s": cold_s,
@@ -191,19 +195,11 @@ _STAGE_PREFIXES = [
 def profile_session() -> None:
     """cProfile one representative cold session; print stage shares."""
     events = list(tree_to_events(hospital(n_patients=20)))
-    pki = SimulatedPKI()
-    for name in ("owner",) + SUBJECTS:
-        pki.enroll(name)
-    store = DSPStore()
-    dsp = DSPServer(store)
-    publisher = Publisher("owner", store, pki)
-    publisher.publish(
-        "bench-doc", events, hospital_rules(), list(SUBJECTS), chunk_size=CHUNK
-    )
+    readers, document, __ = publish_point(events, IndexMode.RECURSIVE)
     profiler = cProfile.Profile()
     profiler.enable()
-    for subject in SUBJECTS:
-        Terminal(subject, dsp, pki).query("bench-doc", owner="owner")
+    for reader in readers:
+        pull(reader, document)
     profiler.disable()
     stats = pstats.Stats(profiler)
     stage_seconds: dict[str, float] = {label: 0.0 for label, _ in _STAGE_PREFIXES}

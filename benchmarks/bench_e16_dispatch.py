@@ -46,19 +46,14 @@ import time
 from pathlib import Path
 
 from _common import emit
-from bench_e14_wallclock import CHUNK, SUBJECTS, calibrate
+from bench_e14_wallclock import SUBJECTS, calibrate, publish_point, pull
 
 from repro.core.compiled import compile_policy
 from repro.core.product import ProductEngine
 from repro.core.rules import Sign
 from repro.core.runtime import EngineStats, TokenEngine
 from repro.core.multicast import MultiSubjectEvaluator
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
 from repro.skipindex.encoder import IndexMode
-from repro.terminal.api import Publisher
-from repro.terminal.session import Terminal
 from repro.terminal.transfer import TransferPolicy
 from repro.workloads.docgen import hospital
 from repro.workloads.rulegen import hospital_rules
@@ -218,7 +213,6 @@ def _measure_cold_sessions(
     corpus, transfer: "TransferPolicy | None", repeats: int
 ) -> dict:
     """E14-style cold pull sessions under one transfer policy."""
-    rules = hospital_rules()
     points = []
     total_s = 0.0
     total_bytes = 0
@@ -226,24 +220,13 @@ def _measure_cold_sessions(
         events = list(tree_to_events(hospital(n_patients=patients)))
         best = None
         for _ in range(repeats):
-            pki = SimulatedPKI()
-            pki.enroll("owner")
-            for subject in SUBJECTS:
-                pki.enroll(subject)
-            store = DSPStore()
-            dsp = DSPServer(store)
-            publisher = Publisher("owner", store, pki)
-            publisher.publish(
-                "bench-doc", events, rules, list(SUBJECTS),
-                index_mode=mode, chunk_size=CHUNK,
-            )
+            readers, document, __ = publish_point(events, mode)
             cold_s = 0.0
-            for subject in SUBJECTS:
+            for reader in readers:
                 start = time.perf_counter()
-                terminal = Terminal(subject, dsp, pki, transfer=transfer)
-                terminal.query("bench-doc", owner="owner")
+                pull(reader, document, transfer)
                 cold_s += time.perf_counter() - start
-            plaintext = publisher.container("bench-doc").header.total_length
+            plaintext = document.container.header.total_length
             if best is None or cold_s < best[0]:
                 best = (cold_s, plaintext)
         points.append({

@@ -12,10 +12,8 @@ a few hundred rule bytes and zero keys, at any document size.
 from _common import emit
 
 from repro.baselines.static_encryption import StaticEncryptionScheme
+from repro.community import Community
 from repro.core.rules import AccessRule, RuleSet
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.store import DSPStore
-from repro.terminal.api import Publisher
 from repro.workloads.docgen import agenda
 from repro.workloads.rulegen import agenda_rules, owner_private_rules
 from repro.xmlstream.tree import tree_to_events
@@ -44,13 +42,12 @@ def run_experiment():
     root = agenda(4, 8)
     changes, base = _policy_sequence()
 
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    for member in MEMBERS:
-        pki.enroll(member)
-    store = DSPStore()
-    publisher = Publisher("owner", store, pki)
-    publisher.publish("agenda", list(tree_to_events(root)), base, MEMBERS)
+    community = Community()
+    owner = community.enroll("owner")
+    members = [community.enroll(member) for member in MEMBERS]
+    document = owner.publish(
+        list(tree_to_events(root)), base, to=members, doc_id="agenda"
+    )
     scheme = StaticEncryptionScheme(root, base, MEMBERS)
 
     headers = [
@@ -59,7 +56,7 @@ def run_experiment():
     ]
     rows = []
     for label, rules in changes:
-        receipt = publisher.update_rules("agenda", rules)
+        receipt = document.update_rules(rules)
         churn = scheme.rekey_for(rules)
         rows.append([
             label,

@@ -71,7 +71,6 @@ from repro.errors import (
 )
 from repro.skipindex import IndexMode
 from repro.smartcard import PendingStrategy, SmartCard
-from repro.terminal import Publisher, Terminal
 
 __version__ = "1.2.0"
 
@@ -91,7 +90,6 @@ __all__ = [
     "PendingStrategy",
     "PolicyError",
     "PolicyRegistry",
-    "Publisher",
     "ReproError",
     "ResourceExhausted",
     "RuleSet",
@@ -100,7 +98,6 @@ __all__ = [
     "SmartCard",
     "Subject",
     "TamperDetected",
-    "Terminal",
     "TransportError",
     "ViewMode",
     "ViewStream",

@@ -4,9 +4,7 @@ Every benchmark builds a fresh full stack for each measured point, so
 no state leaks between rows; the simulated clock makes the numbers
 deterministic across runs and machines.  Scenarios are constructed
 through the :class:`repro.community.Community` facade -- the same
-wiring applications use -- which composes exactly the legacy stack
-(PKI, DSP, publisher, terminal, card), so every metric is bit-for-bit
-what the hand-wired path produced.
+wiring applications use (PKI, DSP, publisher, terminal, card).
 """
 
 from __future__ import annotations
@@ -83,12 +81,14 @@ def run_pull_session(setup: PullSetup) -> PullOutcome:
             strategy=setup.strategy,
             view_mode=setup.view_mode,
         )
-        result = stream.result()
+        pieces = stream.pieces
         metrics = stream.metrics
     container = document.container
     return PullOutcome(
-        xml=result.xml,
-        fragments=result.fragments,
+        xml="".join(p.text for p in pieces if p.kind == "view"),
+        fragments=[
+            (p.entry_id, p.text) for p in pieces if p.kind == "fragment"
+        ],
         metrics=metrics,
         container_bytes=container.stored_size,
         plaintext_bytes=container.header.total_length,

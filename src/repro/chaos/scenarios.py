@@ -943,7 +943,9 @@ def run_cell(
 
     A cell that neither returns nor raises within ``deadline`` seconds
     is reported as a failed (hung) cell -- "no cell may hang" is part
-    of the invariant, so a hang can never stall the whole matrix.
+    of the invariant, so a hang can never stall the whole matrix.  A
+    scenario that returns anything but a :class:`ScenarioResult` is a
+    failed cell naming the returned type.
     """
     box: list[ScenarioResult] = []
 
@@ -951,6 +953,18 @@ def run_cell(
         start = time.monotonic()
         try:
             cell = scenario.run(seed, fault)
+            if not isinstance(cell, ScenarioResult):
+                cell = ScenarioResult(
+                    scenario.name,
+                    fault,
+                    seed,
+                    ok=False,
+                    error="BadResult",
+                    detail=(
+                        "scenario returned "
+                        f"{type(cell).__name__}, not a ScenarioResult"
+                    ),
+                )
         except ReproError as exc:
             cell = ScenarioResult(
                 scenario.name,

@@ -648,7 +648,6 @@ class Member:
                 self.name,
                 self.community._require_store(),
                 self.community.pki,
-                _warn=False,
             )
         return self._publisher
 
@@ -665,7 +664,6 @@ class Member:
                 ram_quota=ram_quota,
                 strict_memory=strict_memory,
                 registry=self.community.registry,
-                _warn=False,
             )
         return self._terminal
 

@@ -5,13 +5,14 @@ manager bound to the member's card with the document unlocked, whose
 ``query`` runs one pull evaluation and hands back a
 :class:`ViewStream`.
 
-The stream is the facade's replacement for the buffer-everything
-``AuthorizedResult``: an *incremental* iterator of authorized
-fragments.  Pieces surface as soon as the card's output drain produces
-them -- before later chunks are even fetched from the DSP -- and
-refetched pending subtrees settle lazily, by document position rather
-than arrival order.  ``text()`` and ``events()`` materialize the
-settled view when a caller does want it whole.
+This is the only pull path: every pull runs ``member.open(doc)`` ->
+:meth:`Session.query` -> :meth:`~repro.terminal.proxy.CardProxy.stream_query`.
+The stream is an *incremental* iterator of authorized fragments.
+Pieces surface as soon as the card's output drain produces them --
+before later chunks are even fetched from the DSP -- and refetched
+pending subtrees settle lazily, by document position rather than
+arrival order.  ``text()`` and ``events()`` materialize the settled
+view when a caller does want it whole.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.core.delivery import ViewMode
 from repro.errors import KeyNotGranted, PolicyError, UnknownDocument
 from repro.smartcard.applet import PendingStrategy
 from repro.smartcard.resources import SessionMetrics
-from repro.terminal.api import AuthorizedResult
 from repro.terminal.proxy import QueryOutcome, ViewPiece
 from repro.terminal.transfer import TransferPolicy
 from repro.xmlstream.events import Event
@@ -59,7 +59,6 @@ class ViewStream:
     * :meth:`text` -- the settled complete view (main view, then
       fragments ordered by their document position);
     * :meth:`events` -- the same, as parsed XML events;
-    * :meth:`result` -- a legacy ``AuthorizedResult`` bridge;
     * :attr:`metrics` -- the session metrics (drains the stream).
     """
 
@@ -181,13 +180,6 @@ class ViewStream:
         for piece in self.fragments:
             events.extend(_parse_view_text(piece.text))
         return events
-
-    def result(self) -> AuthorizedResult:
-        """Bridge to the deprecated buffer-everything result type."""
-        self.finish()
-        return AuthorizedResult(
-            xml=self._outcome.xml, fragments=list(self._outcome.fragments)
-        )
 
     @property
     def metrics(self) -> SessionMetrics:

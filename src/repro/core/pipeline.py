@@ -203,19 +203,11 @@ def authorized_view(
     registry: PolicyRegistry | None = None,
 ) -> list[Event]:
     """Compute the authorized view of a document in one call."""
-    controller = AccessController(
-        rules,
-        subject=subject,
-        query=query,
-        mode=mode,
-        default=default,
-        registry=registry,
+    return list(
+        stream_authorized_view(
+            events, rules, subject, query, mode, default, registry
+        )
     )
-    output: list[Event] = []
-    for event in events:
-        output.extend(controller.feed(event))
-    output.extend(controller.finish())
-    return output
 
 
 def stream_authorized_view(

@@ -29,9 +29,10 @@ test_wallclock_parity.py`` and the differential suite in
 
 Eligibility: only *pure* paths (``CompiledPath.pure`` -- no predicates,
 no value tests) run here, because they provably never create
-conditions or watchers; :class:`~repro.core.evaluator.StreamingEvaluator`
-and :class:`~repro.core.multicast.MultiSubjectEvaluator` fall back to
-the token engine otherwise.
+conditions or watchers.  :class:`~repro.core.evaluator.StreamingEvaluator`
+and :class:`~repro.core.multicast.MultiSubjectEvaluator` pick the token
+engine instead when any path is impure; the choice is made once, from
+the complete path set at construction, and never revisited.
 
 Sharing: slots are keyed by compiled-path identity, so two lanes (or
 two registry users) carrying the same ``CompiledPolicy`` share one slot
@@ -165,7 +166,6 @@ class ProductEngine:
         self.stats = stats or EngineStats()
         self._slots: list[_Slot] = []
         self._slot_of: dict[int, int] = {}  # id(path) -> slot index
-        self._added: list[tuple[CompiledPath, MatchSink]] = []
         self._intern: dict[frozenset[tuple[int, int]], _StateEntry] = {}
         #: Stack of (entry, counts, weighted token total); built from
         #: the registered slots when the root opens.
@@ -207,24 +207,8 @@ class ProductEngine:
             self._slot_of[id(path)] = index
             self._slots.append(_Slot(path))
         self._slots[index].sinks.append(sink)
-        self._added.append((path, sink))
         self._root_tokens += 1
         self._charge(TOKEN_BYTES)
-
-    def registered(self) -> list[tuple[CompiledPath, MatchSink]]:
-        """The (path, sink) pairs added so far, in registration order."""
-        return list(self._added)
-
-    def retire(self) -> None:
-        """Release the setup charges so another engine can take over.
-
-        Used when a late-registered impure path demotes the evaluator
-        to the token engine before parsing starts -- the replacement
-        re-charges the same frame and tokens.
-        """
-        if self._frames is not None:
-            raise RuntimeError("cannot retire after the root opened")
-        self._release(FRAME_BYTES + TOKEN_BYTES * self._root_tokens)
 
     def add_policy(self, policy, sinks: "list[MatchSink]") -> None:
         """Seed every automaton of a prebuilt compiled policy."""

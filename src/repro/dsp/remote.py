@@ -13,8 +13,7 @@ re-raising the server's typed errors.  Many terminals in separate
 processes can each hold one and pull from the same durable DSP
 concurrently.
 
-Typical wiring (see ``Community.serve`` / ``Community.attach`` for the
-facade-level version)::
+Typical wiring (``Community.serve`` does the serving side)::
 
     # process A -- owns the store
     server = DSPSocketServer(dsp)          # 127.0.0.1, ephemeral port
@@ -22,8 +21,11 @@ facade-level version)::
 
     # process B..N -- readers
     with RemoteDSP.connect(address) as dsp:
-        terminal = Terminal("reader", dsp, pki)
-        ...
+        readers = Community.attach(dsp)
+        reader = readers.enroll("reader")
+        doc = readers.adopt(doc_id, owner="owner")
+        with reader.open(doc) as session:
+            view = session.query().text()
 """
 
 from __future__ import annotations

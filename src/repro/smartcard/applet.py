@@ -57,6 +57,11 @@ from repro.xmlstream.writer import write_string
 #: Modeled RAM cost of the streaming decoder state per open level.
 DECODER_FRAME_BYTES = 8
 
+#: Secure-RAM tags charged by one evaluation: all of them are returned
+#: when the main pass ends, and again when the next session begins (a
+#: pass abandoned mid-document never reaches its end).
+_SESSION_RAM_TAGS = ("engine", "signs", "pending", "automata", "decoder")
+
 
 class PendingStrategy(enum.Enum):
     """How pending subtrees are handled (experiment E10)."""
@@ -150,7 +155,14 @@ class CardApplet:
         """
         self.registry = registry
 
+    def _release_session_ram(self) -> None:
+        memory = self.soe.memory
+        for tag in _SESSION_RAM_TAGS:
+            memory.release_all(tag)
+        self._decoder_ram = 0
+
     def _reset_session(self) -> None:
+        self._release_session_ram()
         self._subject: str | None = None
         self._groups: frozenset[str] = frozenset()
         self._doc_id: str | None = None
@@ -166,8 +178,6 @@ class CardApplet:
         self._active_refetch: RefetchRequest | None = None
         self._refetch_decoder: SXSDecoder | None = None
         self._document_done = False
-        self._automata_ram = 0
-        self._decoder_ram = 0
         self._decoder_charged = 0
         # chunk-batch bookkeeping (PUT_CHUNK_BATCH)
         self._batch_consumed = 0
@@ -272,8 +282,9 @@ class CardApplet:
             states = policy.state_count
             if compiled_query is not None:
                 states += compiled_query.state_count()
-            self._automata_ram = states * AUTOMATON_STATE_BYTES
-            self.soe.memory.allocate("automata", self._automata_ram)
+            self.soe.memory.allocate(
+                "automata", states * AUTOMATON_STATE_BYTES
+            )
             self._decoder = SXSDecoder()
         return self._controller
 
@@ -439,6 +450,9 @@ class CardApplet:
             raise IntegrityError("document truncated (structure incomplete)")
         self._emit(self._controller.finish())
         self._document_done = True
+        # Refetches replay bytes against the recorded decision nodes;
+        # the evaluator's working memory is no longer needed.
+        self._release_session_ram()
         granted: list[RefetchRequest] = []
         for entry in self._refetches:
             kind, _ = self._controller.status_of(entry.auth, entry.query)

@@ -70,6 +70,10 @@ class MemoryMeter:
         self._usage[tag] = held - nbytes
         self._total -= nbytes
 
+    def release_all(self, tag: str) -> None:
+        """Return everything ``tag`` holds to the pool."""
+        self._total -= self._usage.pop(tag, 0)
+
     def usage(self, tag: str | None = None) -> int:
         """Current usage of one tag, or total."""
         if tag is None:

@@ -6,13 +6,12 @@ the architecture through an XML API independent of the underlying
 protocols (JDBC, APDU)" (Section 3).
 """
 
-from repro.terminal.api import AuthorizedResult, Publisher
+from repro.terminal.api import Publisher
 from repro.terminal.proxy import CardProxy, ProxyError
 from repro.terminal.session import Terminal
 from repro.terminal.transfer import SEQUENTIAL, TransferPolicy
 
 __all__ = [
-    "AuthorizedResult",
     "CardProxy",
     "ProxyError",
     "Publisher",

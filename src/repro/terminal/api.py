@@ -1,4 +1,4 @@
-"""Owner-side publishing API and result types (the "XML API").
+"""Owner-side publishing API (the "XML API").
 
 The publisher is what a document owner runs on their own terminal:
 encode the document with its skip index, seal it, seal the access
@@ -11,8 +11,7 @@ E8 measures exactly that against the static-encryption baseline.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.rules import AccessRule, RuleSet
 from repro.crypto.container import DocumentContainer, seal_blob, seal_document
@@ -22,45 +21,6 @@ from repro.dsp.store import DSPStore
 from repro.errors import PolicyError
 from repro.skipindex.encoder import IndexMode, encode_document
 from repro.xmlstream.events import Event
-
-
-@dataclass(slots=True)
-class AuthorizedResult:
-    """What an application receives from a pull query.
-
-    .. deprecated:: 1.2
-        Kept as a thin wrapper for the legacy ``Terminal.query`` path;
-        new code should iterate a
-        :class:`~repro.community.ViewStream` instead, which delivers
-        the same fragments incrementally.
-    """
-
-    xml: str
-    fragments: list[tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def complete_view(self) -> str:
-        """Main view plus refetched fragments in document order.
-
-        Fragments settle by document position, not arrival order:
-        refetch entry ids are assigned at skip time during the single
-        sequential pass over the document, so sorting on them restores
-        document order even when the transport replayed the byte
-        ranges out of order.
-        """
-        warnings.warn(
-            "AuthorizedResult.complete_view is deprecated; query through "
-            "repro.community and use ViewStream.text() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not self.fragments:
-            return self.xml
-        parts = [self.xml]
-        parts.extend(
-            text for _, text in sorted(self.fragments, key=lambda f: f[0])
-        )
-        return "".join(parts)
 
 
 @dataclass(slots=True)
@@ -90,27 +50,12 @@ def _seal_rules(
 class Publisher:
     """A document owner's publishing endpoint.
 
-    .. deprecated:: 1.2
-        Hand-wiring a ``Publisher`` is the legacy path; enroll a member
-        in a :class:`repro.community.Community` and call
-        ``member.publish(...)`` instead.  The shim stays because the
-        facade itself composes it.
+    Applications reach it through the facade: ``member.publish(...)``
+    and the :class:`repro.community.Document` handle's
+    ``update_rules``/``grant`` delegate here.
     """
 
-    def __init__(
-        self,
-        owner: str,
-        store: DSPStore,
-        pki: SimulatedPKI,
-        _warn: bool = True,
-    ) -> None:
-        if _warn:
-            warnings.warn(
-                "constructing Publisher directly is deprecated; use "
-                "repro.community.Community.enroll(...).publish(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, owner: str, store: DSPStore, pki: SimulatedPKI) -> None:
         self.owner = owner
         self.store = store
         self.pki = pki

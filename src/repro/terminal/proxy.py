@@ -184,64 +184,6 @@ class CardProxy:
 
     # -- pull session ------------------------------------------------------------
 
-    def query(
-        self,
-        doc_id: str,
-        subject: str,
-        query: str | None = None,
-        strategy: PendingStrategy = PendingStrategy.BUFFER,
-        view_mode: ViewMode = ViewMode.SKELETON,
-        groups: frozenset[str] = frozenset(),
-        transfer: TransferPolicy | None = None,
-    ) -> QueryOutcome:
-        """Run a full pull session: fetch, filter, return the view.
-
-        Drives the same generators as :meth:`stream_query` but skips
-        the per-drain text decoding -- the buffered result needs one
-        decode at the end, so the hot path stays as cheap as before
-        the streaming API existed.  ``transfer`` overrides the proxy's
-        transport plan for this session only.
-        """
-        policy = transfer if transfer is not None else self.transfer
-        metrics = SessionMetrics()
-        clock_snapshot = self.clock.snapshot()
-        cycles_snapshot = self.card.soe.cycles_used
-        if not self._selected:
-            self.select(metrics)
-        self._begin(doc_id, subject, query, strategy, view_mode, groups, metrics)
-        header = self.dsp.get_header(doc_id)
-        encoded_header = encode_header(header)
-        metrics.dsp_requests += 1
-        metrics.bytes_from_dsp += len(encoded_header)
-        self._transmit(
-            CommandAPDU(Instruction.PUT_HEADER, data=encoded_header),
-            metrics,
-            "put header",
-        )
-        rules_version = self._send_rules(doc_id, metrics)
-        output = bytearray()
-        chunk_cache: dict[int, bytes] = {}
-        for __ in self._stream_document(
-            doc_id, header, metrics, output, chunk_cache, policy
-        ):
-            pass
-        fragments = [
-            (entry_id, text)
-            for entry_id, __, text in self._run_refetches(
-                doc_id, header, metrics, chunk_cache, policy
-            )
-        ]
-        self._fill_card_stats(metrics)
-        metrics.clock = self.clock.since(clock_snapshot)
-        metrics.card_cycles = self.card.soe.cycles_used - cycles_snapshot
-        return QueryOutcome(
-            xml=output.decode("utf-8"),
-            fragments=fragments,
-            metrics=metrics,
-            doc_version=header.version,
-            rules_version=rules_version,
-        )
-
     def stream_query(
         self,
         doc_id: str,
@@ -261,9 +203,10 @@ class CardProxy:
         transfers up to the first authorized output.  ``outcome`` (if
         given) is filled in place: the full view text after the main
         pass, fragments as they are refetched, and the session metrics
-        once the generator is exhausted.  The operation sequence is
-        identical to :meth:`query`, so clocks and metrics are
-        bit-for-bit the same however the stream is consumed.
+        once the generator is exhausted.  The operation sequence does
+        not depend on how the stream is consumed, so clocks and metrics
+        are bit-for-bit the same either way.  ``transfer`` overrides the
+        proxy's transport plan for this session only.
         """
         if outcome is None:
             outcome = QueryOutcome(xml="")
@@ -494,7 +437,7 @@ class CardProxy:
 
         A generator so :meth:`stream_query` can surface freshly drained
         output between chunk batches -- the caller decides whether to
-        keep pulling.  Exhausting it is exactly the legacy main pass.
+        keep pulling.
         """
         prefetched: dict[int, bytes] = {}
         index = 0

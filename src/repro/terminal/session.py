@@ -3,36 +3,28 @@
 A :class:`Terminal` owns a smart card, a proxy to a DSP and the user's
 PKI identity.  ``unlock_document`` pulls the wrapped document secret
 from the DSP, unwraps it with the user's key pair and provisions the
-card over the (simulated) secure channel -- after that, ``query`` runs
-entire pull sessions through the card.
+card over the (simulated) secure channel -- after that,
+:class:`repro.community.Session` runs pull sessions through the
+terminal's :class:`~repro.terminal.proxy.CardProxy`.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro.core.compiled import PolicyRegistry
-from repro.core.delivery import ViewMode
 from repro.crypto.pki import SimulatedPKI
 from repro.dsp.client import DSPClient
-from repro.errors import DocumentLocked
-from repro.smartcard.applet import PendingStrategy
 from repro.smartcard.card import SmartCard
-from repro.smartcard.resources import LinkModel, SessionMetrics
+from repro.smartcard.resources import LinkModel
 from repro.smartcard.soe import SecureOperatingEnvironment
-from repro.terminal.api import AuthorizedResult
 from repro.terminal.proxy import CardProxy
-from repro.terminal.transfer import TransferPolicy
 
 
 class Terminal:
     """A user terminal hosting a smart card (Figure 3).
 
-    .. deprecated:: 1.2
-        Hand-wiring a ``Terminal`` is the legacy path; enroll a member
-        in a :class:`repro.community.Community` and use
-        ``member.open(document)`` sessions instead.  The shim stays
-        because the facade itself composes it.
+    Applications reach it through the facade: each enrolled
+    :class:`repro.community.Member` owns one terminal, and
+    ``member.open(document)`` runs sessions on it.
     """
 
     def __init__(
@@ -40,40 +32,22 @@ class Terminal:
         user: str,
         dsp: DSPClient,
         pki: SimulatedPKI,
-        card: SmartCard | None = None,
         link: LinkModel | None = None,
         ram_quota: int | None = 1024,
         strict_memory: bool = True,
         registry: PolicyRegistry | None = None,
-        transfer: TransferPolicy | None = None,
-        _warn: bool = True,
     ) -> None:
-        if _warn:
-            warnings.warn(
-                "constructing Terminal directly is deprecated; use "
-                "repro.community.Community.enroll(...).open(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.user = user
         self.dsp = dsp
         self.pki = pki
         self.clock = dsp.clock
-        if card is None:
-            soe = SecureOperatingEnvironment(
-                ram_quota=ram_quota,
-                strict_memory=strict_memory,
-                clock=self.clock,
-            )
-            card = SmartCard(soe, registry=registry)
-        elif registry is not None:
-            # Repeated sessions on an existing card share the given
-            # compiled-policy cache instead of the card's private one.
-            card.use_registry(registry)
-        self.card = card
-        self.proxy = CardProxy(
-            card, dsp, link=link, clock=self.clock, transfer=transfer
+        soe = SecureOperatingEnvironment(
+            ram_quota=ram_quota,
+            strict_memory=strict_memory,
+            clock=self.clock,
         )
+        self.card = SmartCard(soe, registry=registry)
+        self.proxy = CardProxy(self.card, dsp, link=link, clock=self.clock)
         self._unlocked: set[str] = set()
 
     def unlock_document(self, doc_id: str, owner: str) -> None:
@@ -84,43 +58,3 @@ class Terminal:
         secret = self.pki.unwrap_secret(self.user, owner, wrapped)
         self.proxy.provision_key(doc_id, secret)
         self._unlocked.add(doc_id)
-
-    def query(
-        self,
-        doc_id: str,
-        query: str | None = None,
-        owner: str | None = None,
-        subject: str | None = None,
-        strategy: PendingStrategy = PendingStrategy.BUFFER,
-        view_mode: ViewMode = ViewMode.SKELETON,
-        groups: frozenset[str] = frozenset(),
-    ) -> tuple[AuthorizedResult, SessionMetrics]:
-        """Run one pull session; returns the view and its metrics.
-
-        ``groups`` carries the user's roles -- rules written for any of
-        them apply alongside rules written for the user by name.
-
-        Raises :class:`~repro.errors.DocumentLocked` when the document
-        was never unlocked on this terminal's card and no ``owner`` is
-        given to unlock it now.
-        """
-        if owner is not None:
-            self.unlock_document(doc_id, owner)
-        elif doc_id not in self.card.soe.keyring:
-            raise DocumentLocked(
-                f"document {doc_id!r} was never unlocked on "
-                f"{self.user!r}'s card; pass owner= or call "
-                "unlock_document first",
-                doc_id=doc_id,
-                subject=self.user,
-            )
-        outcome = self.proxy.query(
-            doc_id,
-            subject or self.user,
-            query=query,
-            strategy=strategy,
-            view_mode=view_mode,
-            groups=groups,
-        )
-        result = AuthorizedResult(xml=outcome.xml, fragments=outcome.fragments)
-        return result, outcome.metrics

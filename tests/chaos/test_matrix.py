@@ -81,6 +81,14 @@ def test_watchdog_turns_a_hang_into_a_failed_cell():
     assert "deadline" in result.detail
 
 
+def test_a_scenario_returning_no_result_is_a_failed_cell():
+    broken = Scenario("broken", ("none",), ("none",), lambda seed, fault: None)
+    result = run_cell(broken, "none", seed=0, deadline=5.0)
+    assert not result.ok
+    assert result.error == "BadResult"
+    assert "NoneType" in result.detail
+
+
 def test_results_render_readably():
     shown = str(
         ScenarioResult(

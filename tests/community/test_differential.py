@@ -1,25 +1,24 @@
-"""Differential: facade scenarios vs the legacy hand-wired stack.
+"""Differential: facade scenarios vs a recorded hand-wired run.
 
-The acceptance bar of the API redesign: rebuilding the quickstart
-scenarios on :mod:`repro.community` must produce byte-identical
-authorized views AND bit-identical ``SimClock`` component totals
-versus the legacy ``Publisher``/``Terminal`` wiring -- and the legacy
-constructors must keep working behind ``DeprecationWarning`` shims.
+``tests/goldens/facade_differential.json`` holds the views and the
+exact ``SimClock`` component totals (floats as ``float.hex``) of the
+quickstart scenario wired by hand from ``Publisher``/``Terminal`` with
+persistent terminals and ``Terminal.query`` pulls -- recorded before
+that second pull path was removed.  The facade must reproduce them
+byte for byte and bit for bit.
 """
 
+import json
+import pathlib
 import warnings
-
-import pytest
 
 from repro.community import Community
 from repro.core.rules import AccessRule, RuleSet
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
-from repro.terminal.api import AuthorizedResult, Publisher
-from repro.terminal.session import Terminal
 from repro.terminal.transfer import TransferPolicy
-from repro.xmlstream.parser import parse_string
+
+GOLDEN = (
+    pathlib.Path(__file__).parent.parent / "goldens" / "facade_differential.json"
+)
 
 DOCUMENT = (
     "<hospital>"
@@ -42,38 +41,8 @@ def _ruleset():
     return RuleSet([AccessRule.parse(s, u, p) for s, u, p in RULES])
 
 
-def _run_legacy():
-    """The quickstart scenario, wired by hand (persistent terminals)."""
-    pki = SimulatedPKI()
-    for principal in ("owner", "doctor", "accountant"):
-        pki.enroll(principal)
-    store = DSPStore()
-    dsp = DSPServer(store)
-    publisher = Publisher("owner", store, pki, _warn=False)
-    publisher.publish(
-        "records", parse_string(DOCUMENT), _ruleset(),
-        ["doctor", "accountant"],
-    )
-    terminals = {
-        user: Terminal(user, dsp, pki, _warn=False)
-        for user in ("doctor", "accountant")
-    }
-    views = {}
-    for user in ("doctor", "accountant"):
-        result, __ = terminals[user].query("records", owner="owner")
-        views[user] = result.xml
-    result, __ = terminals["doctor"].query("records", query="//diagnosis")
-    views["doctor//diagnosis"] = result.xml
-    # Batched transport on the same card (the legacy way: poke the
-    # proxy's transfer plan).
-    terminals["doctor"].proxy.transfer = TransferPolicy.windowed(8)
-    result, __ = terminals["doctor"].query("records")
-    views["doctor windowed"] = result.xml
-    return views, dsp.clock.snapshot()
-
-
 def _run_facade():
-    """The same scenario through repro.community."""
+    """The quickstart scenario through repro.community."""
     community = Community()
     owner = community.enroll("owner")
     doctor = community.enroll("doctor")
@@ -93,38 +62,15 @@ def _run_facade():
 
 
 def test_views_byte_identical_and_clock_bit_identical():
-    legacy_views, legacy_clock = _run_legacy()
+    golden = json.loads(GOLDEN.read_text())
     facade_views, facade_clock = _run_facade()
-    assert facade_views == legacy_views
-    # Bit-for-bit: the facade composes exactly the legacy operations,
-    # so every simulated-clock component matches to the last float bit.
-    assert facade_clock == legacy_clock
-
-
-def test_legacy_constructors_warn_but_work():
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    pki.enroll("u")
-    store = DSPStore()
-    dsp = DSPServer(store)
-    with pytest.warns(DeprecationWarning, match="Publisher"):
-        publisher = Publisher("owner", store, pki)
-    publisher.publish(
-        "d",
-        parse_string("<r><a>x</a></r>"),
-        RuleSet([AccessRule.parse("+", "u", "/r")]),
-        ["u"],
-    )
-    with pytest.warns(DeprecationWarning, match="Terminal"):
-        terminal = Terminal("u", dsp, pki)
-    result, __ = terminal.query("d", owner="owner")
-    assert result.xml == "<r><a>x</a></r>"
-
-
-def test_complete_view_is_a_deprecated_wrapper():
-    result = AuthorizedResult(xml="<r></r>", fragments=[(0, "<a/>")])
-    with pytest.warns(DeprecationWarning, match="ViewStream"):
-        assert result.complete_view == "<r></r><a/>"
+    assert facade_views == golden["views"]
+    # Bit-for-bit: every simulated-clock component matches the recorded
+    # hand-wired run to the last float bit.
+    assert {
+        component: float.hex(seconds)
+        for component, seconds in facade_clock.items()
+    } == golden["clock"]
 
 
 def test_facade_itself_does_not_warn():

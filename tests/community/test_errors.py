@@ -7,7 +7,6 @@ from repro.crypto.container import IntegrityError
 from repro.crypto.keys import KeyRing
 from repro.crypto.modes import PaddingError
 from repro.crypto.pki import SimulatedPKI
-from repro.dsp.store import DSPStore
 from repro.errors import (
     AccessDenied,
     DocumentLocked,
@@ -19,9 +18,9 @@ from repro.errors import (
     TransportError,
     UnknownDocument,
 )
+from repro.smartcard.apdu import StatusWord
 from repro.smartcard.memory import CardMemoryError
 from repro.smartcard.secure_channel import SecureChannelError
-from repro.terminal.api import Publisher
 from repro.terminal.proxy import CardOutOfResources, CardTampered, ProxyError
 
 
@@ -55,7 +54,7 @@ def test_layer_exceptions_join_the_taxonomy():
 
 
 def test_publisher_update_rules_names_the_document():
-    publisher = Publisher("owner", DSPStore(), SimulatedPKI(), _warn=False)
+    publisher = Community().enroll("owner").publisher
     with pytest.raises(PolicyError) as info:
         publisher.update_rules("ghost", [])
     assert "'ghost'" in str(info.value) and "'owner'" in str(info.value)
@@ -86,17 +85,16 @@ def test_terminal_query_on_locked_document():
     community = Community()
     owner = community.enroll("owner")
     reader = community.enroll("reader")
-    owner.publish("<r/>", [("+", "reader", "/r")], to=[reader], doc_id="d")
-    terminal = reader.terminal
-    with pytest.raises(DocumentLocked) as info:
-        terminal.query("d")  # never unlocked, no owner given
-    message = str(info.value)
-    assert "'d'" in message and "'reader'" in message
-    assert info.value.doc_id == "d"
-    assert info.value.subject == "reader"
-    # Unlocking fixes it.
-    result, __ = terminal.query("d", owner="owner")
-    assert result.xml == "<r></r>"
+    doc = owner.publish(
+        "<r/>", [("+", "reader", "/r")], to=[reader], doc_id="d"
+    )
+    # The card refuses a pull on a document it holds no key for.
+    with pytest.raises(ProxyError) as info:
+        list(reader.terminal.proxy.stream_query("d", "reader"))
+    assert info.value.status == StatusWord.CONDITIONS_NOT_SATISFIED
+    # Opening a session unlocks it.
+    with reader.open(doc) as session:
+        assert session.query().text() == "<r></r>"
 
 
 def test_keyring_and_pki_raise_key_not_granted():

@@ -1,4 +1,4 @@
-"""Streaming semantics of ViewStream: laziness, settling, bridging."""
+"""Streaming semantics of ViewStream: laziness and settling."""
 
 import pytest
 
@@ -48,7 +48,7 @@ def test_incremental_pieces_join_to_the_buffered_view():
     with reader.open(doc, transfer=TransferPolicy.windowed(4)) as session:
         stream = session.query()
         joined = "".join(piece.text for piece in stream if piece.kind == "view")
-        assert joined == stream.result().xml
+        assert joined == stream.text()  # BUFFER: no refetched fragments
         assert len(stream.pieces) > 1  # genuinely incremental
 
 
@@ -89,7 +89,8 @@ def test_refetch_fragments_settle_by_document_position():
     texts = [piece.text for piece in fragments]
     assert texts == sorted(texts, key=lambda t: int(t.split()[1]))
     # And the settled text is the main view plus fragments in order.
-    assert stream.text() == stream.result().xml + "".join(texts)
+    main = "".join(p.text for p in stream.pieces if p.kind == "view")
+    assert stream.text() == main + "".join(texts)
 
 
 def test_viewstream_settles_out_of_order_fragments():
@@ -104,18 +105,6 @@ def test_viewstream_settles_out_of_order_fragments():
     outcome = QueryOutcome(xml="<r></r>")
     stream = ViewStream(iter(pieces), outcome)
     assert stream.text() == "<r></r><early/><mid/><late/>"
-
-
-def test_authorized_result_settles_out_of_order_fragments():
-    """Satellite: complete_view no longer concatenates arrival order."""
-    from repro.terminal.api import AuthorizedResult
-
-    result = AuthorizedResult(
-        xml="<r></r>",
-        fragments=[(2, "<late/>"), (0, "<early/>"), (1, "<mid/>")],
-    )
-    with pytest.warns(DeprecationWarning):
-        assert result.complete_view == "<r></r><early/><mid/><late/>"
 
 
 def test_metrics_available_after_exhaustion():

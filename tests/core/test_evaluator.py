@@ -5,6 +5,7 @@ import pytest
 from repro.core.decisions import Pending, Resolved
 from repro.core.evaluator import StreamingEvaluator
 from repro.core.rules import AccessRule, RuleSet, Sign, Subject
+from repro.core.runtime import FRAME_BYTES, TOKEN_BYTES
 from repro.xpathlib.parser import parse_path
 
 
@@ -64,14 +65,6 @@ def test_close_pops_decision_stack():
     assert evaluator.current_decision() is not inner
 
 
-def test_add_rule_after_start_rejected():
-    rules = _rules(("+", "u", "/a"))
-    evaluator = StreamingEvaluator.for_policy(rules, "u")
-    evaluator.open("a")
-    with pytest.raises(RuntimeError):
-        evaluator.add_rule_path(parse_path("/b"), Sign.DENY)
-
-
 def test_stats_accumulate():
     rules = _rules(("+", "u", "//a"))
     evaluator = StreamingEvaluator.for_policy(rules, "u")
@@ -80,3 +73,33 @@ def test_stats_accumulate():
     evaluator.close()
     assert evaluator.stats.events == 3
     assert evaluator.stats.token_checks >= 1
+
+
+class _RecordingMemory:
+    def __init__(self):
+        self.charges = []
+
+    def allocate(self, tag, nbytes):
+        self.charges.append((tag, nbytes))
+
+    def release(self, tag, nbytes):
+        self.charges.append((tag, -nbytes))
+
+
+@pytest.mark.parametrize("second", ["//b", "//b[c]"])
+def test_engine_is_chosen_once_at_construction(second):
+    """One impure path puts the whole set on the token engine; either
+    way the engine frame is charged first, then one token per path."""
+    memory = _RecordingMemory()
+    evaluator = StreamingEvaluator.for_policy(
+        _rules(("+", "u", "//a"), ("-", "u", second)), "u", memory=memory
+    )
+    assert memory.charges == [
+        ("engine", FRAME_BYTES),
+        ("engine", TOKEN_BYTES),
+        ("engine", TOKEN_BYTES),
+    ]
+    evaluator.open("a")
+    # Only the product machine counts pumped events.
+    assert (evaluator.stats.events_pumped > 0) == (second == "//b")
+

@@ -7,61 +7,73 @@ following session could observe.
 
 import pytest
 
+from repro.community import Community
 from repro.core.rules import AccessRule, RuleSet
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
 from repro.smartcard.apdu import CommandAPDU, Instruction, StatusWord
 from repro.smartcard.card import SmartCard
-from repro.smartcard.soe import SecureOperatingEnvironment
-from repro.terminal.api import Publisher
 from repro.terminal.proxy import ProxyError
-from repro.terminal.session import Terminal
-from repro.xmlstream.parser import parse_string
+from repro.workloads.docgen import hospital
+from repro.workloads.rulegen import hospital_rules
+from repro.xmlstream.tree import tree_to_events
 
 RULES = RuleSet([AccessRule.parse("+", "u", "/r", rule_id="FI")])
 DOC = "<r>" + "<x>" * 30 + "deep" + "</x>" * 30 + "</r>"
 
 
-def _stack():
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    pki.enroll("u")
-    store = DSPStore()
-    dsp = DSPServer(store)
-    Publisher("owner", store, pki).publish(
-        "d", parse_string(DOC), RULES, ["u"], chunk_size=48
-    )
-    return dsp, pki
+def _reader(ram_quota):
+    """Publish DOC to a reader "u" whose strict card has ``ram_quota``."""
+    community = Community()
+    owner = community.enroll("owner")
+    reader = community.enroll("u", ram_quota=ram_quota, strict_memory=True)
+    doc = owner.publish(DOC, RULES, to=[reader], chunk_size=48)
+    return reader, doc
+
+
+def _pull(reader, doc):
+    with reader.open(doc) as session:
+        stream = session.query()
+        return stream.text(), stream.metrics
 
 
 def test_tiny_ram_card_fails_with_memory_status():
     """A 128-byte card cannot evaluate a depth-31 document."""
-    dsp, pki = _stack()
-    terminal = Terminal("u", dsp, pki, ram_quota=128, strict_memory=True)
+    reader, doc = _reader(ram_quota=128)
     with pytest.raises(ProxyError) as info:
-        terminal.query("d", owner="owner")
+        _pull(reader, doc)
     assert info.value.status == StatusWord.MEMORY_FAILURE
 
 
 def test_adequate_ram_card_succeeds_on_same_document():
-    dsp, pki = _stack()
-    terminal = Terminal("u", dsp, pki, ram_quota=2048, strict_memory=True)
-    result, metrics = terminal.query("d", owner="owner")
-    assert "deep" in result.xml
+    reader, doc = _reader(ram_quota=2048)
+    view, metrics = _pull(reader, doc)
+    assert "deep" in view
     assert metrics.ram_high_water <= 2048
 
 
 def test_memory_failure_does_not_poison_next_session():
     """After an overflow, a new session on the same card still works."""
-    dsp, pki = _stack()
-    soe = SecureOperatingEnvironment(ram_quota=100_000, strict_memory=True)
-    card = SmartCard(soe)
-    terminal = Terminal("u", dsp, pki, card=card)
-    first, __ = terminal.query("d", owner="owner")
-    assert "deep" in first.xml
-    second, __ = terminal.query("d")
-    assert second.xml == first.xml
+    reader, doc = _reader(ram_quota=100_000)
+    first, __ = _pull(reader, doc)
+    assert "deep" in first
+    second, __ = _pull(reader, doc)
+    assert second == first
+
+
+def test_repeated_pulls_do_not_leak_secure_ram():
+    """Every session returns its modeled RAM: a default strict 1 KB
+    card keeps serving the same member pull after pull."""
+    community = Community()
+    owner = community.enroll("owner")
+    doctor = community.enroll("doctor")
+    doc = owner.publish(
+        list(tree_to_events(hospital(5))), hospital_rules(), to=[doctor]
+    )
+    memory = doctor.terminal.card.soe.memory
+    for __ in range(20):
+        before = memory.usage()
+        with doctor.open(doc) as session:
+            assert "<diagnosis>" in session.query("//diagnosis").text()
+        assert memory.usage() == before
 
 
 @pytest.mark.parametrize("instruction", [

@@ -1,53 +1,40 @@
 """Role/group subjects through the full card protocol."""
 
+from repro.community import Community
 from repro.core import reference_view
 from repro.core.rules import AccessRule, RuleSet, Subject
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
-from repro.terminal.api import Publisher
-from repro.terminal.session import Terminal
 from repro.workloads.docgen import hospital
 from repro.workloads.rulegen import hospital_rules
 from repro.xmlstream.tree import tree_to_events
 from repro.xmlstream.writer import write_string
 
 
-def _stack(rules, doc_root):
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    pki.enroll("martin")
-    store = DSPStore()
-    dsp = DSPServer(store)
-    Publisher("owner", store, pki).publish(
-        "med", list(tree_to_events(doc_root)), rules, ["martin"]
+def _pull(rules, doc_root, groups=frozenset()):
+    """Publish to "martin" and return the view of one pull as martin."""
+    community = Community()
+    owner = community.enroll("owner")
+    martin = community.enroll("martin")
+    doc = owner.publish(
+        list(tree_to_events(doc_root)), rules, to=[martin], doc_id="med"
     )
-    return dsp, pki
+    with martin.open(doc, groups=groups) as session:
+        return session.query().text()
 
 
 def test_user_with_role_gets_role_rules():
     root = hospital(8)
     rules = hospital_rules()
-    dsp, pki = _stack(rules, root)
-    terminal = Terminal("martin", dsp, pki)
-    result, __ = terminal.query(
-        "med", owner="owner", groups=frozenset({"doctor"})
-    )
+    view = _pull(rules, root, groups=frozenset({"doctor"}))
     expected = write_string(
         reference_view(root, rules, Subject("martin", frozenset({"doctor"})))
     )
-    assert result.xml == expected
-    assert "<diagnosis>" in result.xml
-    assert "<psychiatric>" not in result.xml
+    assert view == expected
+    assert "<diagnosis>" in view
+    assert "<psychiatric>" not in view
 
 
 def test_user_without_role_sees_nothing():
-    root = hospital(8)
-    rules = hospital_rules()
-    dsp, pki = _stack(rules, root)
-    terminal = Terminal("martin", dsp, pki)
-    result, __ = terminal.query("med", owner="owner")
-    assert result.xml == ""
+    assert _pull(hospital_rules(), hospital(8)) == ""
 
 
 def test_multiple_roles_combine():
@@ -55,20 +42,16 @@ def test_multiple_roles_combine():
     conflict resolution across them."""
     root = hospital(8)
     rules = hospital_rules()
-    dsp, pki = _stack(rules, root)
-    terminal = Terminal("martin", dsp, pki)
-    result, __ = terminal.query(
-        "med", owner="owner", groups=frozenset({"doctor", "accountant"})
-    )
+    view = _pull(rules, root, groups=frozenset({"doctor", "accountant"}))
     expected = write_string(
         reference_view(
             root, rules, Subject("martin", frozenset({"doctor", "accountant"}))
         )
     )
-    assert result.xml == expected
+    assert view == expected
     # The doctor's deny on billing and the accountant's permit on it
     # collide on the same nodes: denial takes precedence.
-    assert "<amount>" not in result.xml
+    assert "<amount>" not in view
 
 
 def test_personal_rule_plus_role():
@@ -77,14 +60,10 @@ def test_personal_rule_plus_role():
         list(hospital_rules())
         + [AccessRule.parse("+", "martin", "//ssn", rule_id="ME")]
     )
-    dsp, pki = _stack(rules, root)
-    terminal = Terminal("martin", dsp, pki)
-    result, __ = terminal.query(
-        "med", owner="owner", groups=frozenset({"nurse"})
-    )
+    view = _pull(rules, root, groups=frozenset({"nurse"}))
     expected = write_string(
         reference_view(root, rules, Subject("martin", frozenset({"nurse"})))
     )
-    assert result.xml == expected
-    assert "<ssn>" in result.xml  # personal grant
-    assert "<prescription>" in result.xml  # role grant
+    assert view == expected
+    assert "<ssn>" in view  # personal grant
+    assert "<prescription>" in view  # role grant

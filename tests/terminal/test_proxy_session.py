@@ -2,16 +2,12 @@
 
 import pytest
 
+from repro.community import Community
 from repro.core import AccessRule, RuleSet, reference_view
 from repro.core.delivery import ViewMode
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
+from repro.errors import KeyNotGranted
 from repro.smartcard.applet import PendingStrategy
-from repro.terminal.api import Publisher
 from repro.terminal.proxy import ProxyError
-from repro.terminal.session import Terminal
-from repro.xmlstream.parser import parse_string
 from repro.xmlstream.tree import parse_tree
 from repro.xmlstream.writer import write_string
 
@@ -26,70 +22,69 @@ RULES = RuleSet([
 
 
 def _stack():
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    pki.enroll("alice")
-    pki.enroll("bob")
-    store = DSPStore()
-    dsp = DSPServer(store)
-    publisher = Publisher("owner", store, pki)
-    publisher.publish("notes", parse_string(DOC), RULES, ["alice", "bob"])
-    return dsp, pki, publisher
+    community = Community()
+    owner = community.enroll("owner")
+    readers = [community.enroll("alice"), community.enroll("bob")]
+    doc = owner.publish(DOC, RULES, to=readers, doc_id="notes")
+    return community, doc
+
+
+def _pull(member, doc, xpath=None, **options):
+    with member.open(doc) as session:
+        stream = session.query(xpath, **options)
+        return stream.text(), stream.metrics
 
 
 def test_each_user_sees_own_view():
-    dsp, pki, __ = _stack()
+    community, doc = _stack()
     for user in ("alice", "bob"):
-        terminal = Terminal(user, dsp, pki)
-        result, metrics = terminal.query("notes", owner="owner")
+        view, metrics = _pull(community.member(user), doc)
         expected = write_string(reference_view(parse_tree(DOC), RULES, user))
-        assert result.xml == expected
+        assert view == expected
         assert metrics.apdu_count > 0
         assert metrics.clock.total() > 0
 
 
 def test_query_restriction_applies():
-    dsp, pki, __ = _stack()
-    terminal = Terminal("alice", dsp, pki)
-    result, __ = terminal.query("notes", query="//body", owner="owner")
+    community, doc = _stack()
+    view, __ = _pull(community.member("alice"), doc, "//body")
     expected = write_string(
         reference_view(parse_tree(DOC), RULES, "alice", query="//body")
     )
-    assert result.xml == expected
+    assert view == expected
 
 
 def test_unauthorized_user_has_no_wrapped_key():
-    dsp, pki, __ = _stack()
-    pki.enroll("eve")
-    terminal = Terminal("eve", dsp, pki)
-    with pytest.raises(KeyError):
-        terminal.query("notes", owner="owner")
+    community, doc = _stack()
+    eve = community.enroll("eve")
+    with pytest.raises(KeyNotGranted):
+        eve.open(doc)
 
 
 def test_unlock_is_idempotent():
-    dsp, pki, __ = _stack()
-    terminal = Terminal("alice", dsp, pki)
-    terminal.unlock_document("notes", "owner")
-    terminal.unlock_document("notes", "owner")
-    result, __ = terminal.query("notes")
-    assert "alice" in result.xml
+    community, doc = _stack()
+    alice = community.member("alice")
+    alice.terminal.unlock_document("notes", "owner")
+    alice.terminal.unlock_document("notes", "owner")
+    view, __ = _pull(alice, doc)
+    assert "alice" in view
 
 
 def test_policy_update_changes_view_without_reencryption():
-    dsp, pki, publisher = _stack()
-    terminal = Terminal("alice", dsp, pki)
-    before, __ = terminal.query("notes", owner="owner")
-    assert "hello" in before.xml
+    community, doc = _stack()
+    alice = community.member("alice")
+    before, __ = _pull(alice, doc)
+    assert "hello" in before
     new_rules = RuleSet([
         AccessRule.parse("+", "alice", '//note[to = "alice"]', rule_id="S0"),
         AccessRule.parse("-", "alice", "//body", rule_id="S2"),
     ])
-    receipt = publisher.update_rules("notes", new_rules)
+    receipt = doc.update_rules(new_rules)
     assert receipt.document_bytes_encrypted == 0
-    after, __ = Terminal("alice", dsp, pki).query("notes", owner="owner")
-    assert "hello" not in after.xml
+    after, __ = _pull(alice, doc)
+    assert "hello" not in after
     expected = write_string(reference_view(parse_tree(DOC), new_rules, "alice"))
-    assert after.xml == expected
+    assert after == expected
 
 
 def test_refetch_strategy_returns_fragments():
@@ -104,45 +99,36 @@ def test_refetch_strategy_returns_fragments():
     rules = RuleSet([
         AccessRule.parse("+", "alice", '//note[to = "alice"]/body', rule_id="R0"),
     ])
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    pki.enroll("alice")
-    store = DSPStore()
-    dsp = DSPServer(store)
-    publisher = Publisher("owner", store, pki)
-    publisher.publish(
-        "mail", parse_string(document), rules, ["alice"], chunk_size=32
-    )
-    terminal = Terminal("alice", dsp, pki)
-    result, metrics = terminal.query(
-        "mail", owner="owner", strategy=PendingStrategy.REFETCH
-    )
+    community = Community()
+    owner = community.enroll("owner")
+    alice = community.enroll("alice")
+    doc = owner.publish(document, rules, to=[alice], chunk_size=32)
+    combined, metrics = _pull(alice, doc, strategy=PendingStrategy.REFETCH)
     assert metrics.refetch_count >= 1
-    combined = result.xml + "".join(text for __, text in result.fragments)
     assert "hello alice" in combined
     assert "bob stuff" not in combined
     # The buffering strategy must agree on delivered content.
-    buffered, buffered_metrics = Terminal("alice", dsp, pki).query(
-        "mail", owner="owner", strategy=PendingStrategy.BUFFER
+    buffered, buffered_metrics = _pull(
+        alice, doc, strategy=PendingStrategy.BUFFER
     )
-    assert "hello alice" in buffered.xml
+    assert "hello alice" in buffered
     assert buffered_metrics.max_pending_bytes > metrics.max_pending_bytes
 
 
 def test_prune_view_mode_through_stack():
-    dsp, pki, __ = _stack()
-    terminal = Terminal("alice", dsp, pki)
-    result, __ = terminal.query("notes", owner="owner", view_mode=ViewMode.PRUNE)
+    community, doc = _stack()
+    view, __ = _pull(community.member("alice"), doc, view_mode=ViewMode.PRUNE)
     expected = write_string(
         reference_view(parse_tree(DOC), RULES, "alice", mode=ViewMode.PRUNE)
     )
-    assert result.xml == expected
+    assert view == expected
 
 
 def test_proxy_error_carries_status():
-    dsp, pki, __ = _stack()
-    terminal = Terminal("alice", dsp, pki)
-    terminal.proxy.provision_key("notes", b"wrong-key-16byte")
-    with pytest.raises(ProxyError) as info:
-        terminal.proxy.query("notes", "alice")
+    community, doc = _stack()
+    alice = community.member("alice")
+    with alice.open(doc) as session:
+        alice.terminal.proxy.provision_key("notes", b"wrong-key-16byte")
+        with pytest.raises(ProxyError) as info:
+            session.query().text()
     assert info.value.status is not None
