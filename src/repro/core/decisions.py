@@ -49,8 +49,10 @@ Status = Resolved | Pending
 #: Shared resolution singletons -- ``status()`` runs once or more per
 #: element per evaluator, and the two resolved outcomes are value
 #: objects (frozen, compared by field), so one instance each suffices.
-_RESOLVED_DENY = Resolved(Sign.DENY)
-_RESOLVED_PERMIT = Resolved(Sign.PERMIT)
+#: ``status()`` returns no other :class:`Resolved`, so callers may
+#: compare against these by identity.
+RESOLVED_DENY = Resolved(Sign.DENY)
+RESOLVED_PERMIT = Resolved(Sign.PERMIT)
 
 
 class DecisionNode:
@@ -105,8 +107,10 @@ class DecisionNode:
         subscribes to them).
         """
         if self._definite_deny:
-            return _RESOLVED_DENY
-        if not self._pending and not self._definite_permit:
+            return RESOLVED_DENY
+        if not self._pending:
+            if self._definite_permit:
+                return RESOLVED_PERMIT
             # Pure fallback node: nothing recorded here can ever decide
             # (the match set is complete at open), so the answer is the
             # nearest ancestor that holds any decision state.  Compress
@@ -122,6 +126,10 @@ class DecisionNode:
             ):
                 target = target.parent
             self.parent = target
+            if target._definite_deny:
+                return RESOLVED_DENY
+            if target._definite_permit and not target._pending:
+                return RESOLVED_PERMIT
             return target.status()
         unknowns: set[Condition] = set()
         deny_open = False
@@ -130,7 +138,7 @@ class DecisionNode:
                 continue
             state = conjunction_state(conditions)
             if state is Tristate.TRUE:
-                return _RESOLVED_DENY
+                return RESOLVED_DENY
             if state is Tristate.UNKNOWN:
                 deny_open = True
                 unknowns.update(
@@ -139,14 +147,14 @@ class DecisionNode:
         if deny_open:
             return Pending(frozenset(unknowns))
         if self._definite_permit:
-            return _RESOLVED_PERMIT
+            return RESOLVED_PERMIT
         permit_open = False
         for conditions, sign in self._pending:
             if sign is not Sign.PERMIT:
                 continue
             state = conjunction_state(conditions)
             if state is Tristate.TRUE:
-                return _RESOLVED_PERMIT
+                return RESOLVED_PERMIT
             if state is Tristate.UNKNOWN:
                 permit_open = True
                 unknowns.update(
@@ -158,3 +166,10 @@ class DecisionNode:
         # (Most-Specific-Object-Takes-Precedence fallback).
         assert self.parent is not None, "virtual root must be definite"
         return self.parent.status()
+
+
+#: Shared decisions of nodes whose direct matches are all
+#: unconditional: their sign is final the moment they open, so every
+#: such node can be the same (parentless, never mutated) instance.
+DENIED = DecisionNode.default_root(Sign.DENY)
+PERMITTED = DecisionNode.default_root(Sign.PERMIT)

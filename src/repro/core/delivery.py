@@ -35,7 +35,7 @@ import enum
 from typing import Union
 
 from repro.core.conditions import Condition
-from repro.core.decisions import DecisionNode, Resolved
+from repro.core.decisions import RESOLVED_DENY, RESOLVED_PERMIT, DecisionNode
 from repro.core.rules import Sign
 from repro.xmlstream.events import (
     CloseEvent,
@@ -143,24 +143,23 @@ class _Sink:
         self.materialized = prune and shell_open is not None
 
     def append(self, item: Item) -> None:
+        parent = self._parent
+        if parent is None:
+            self._target.append(item)  # type: ignore[union-attr]
+            return
         if self._shell_open is not None and not self.materialized and self.shell is None:
             if isinstance(item, _Hole):
                 self.shell = _Hole(
                     self._shell_open, self._memory, final_sign=Sign.DENY
                 )
-                assert self._parent is not None
-                self._parent.append(self.shell)
+                parent.append(self.shell)
             else:
                 self.materialized = True
-                assert self._parent is not None
-                self._parent.append(OpenEvent(self._shell_open.tag))
+                parent.append(OpenEvent(self._shell_open.tag))
         if self.shell is not None:
             self.shell.append(item)
-        elif self._parent is not None:
-            self._parent.append(item)
         else:
-            assert self._target is not None
-            self._target.append(item)
+            parent.append(item)
 
 
 class _Record:
@@ -179,21 +178,31 @@ class _Record:
         self.open_event = open_event
 
 
+_DELIVERED = (_Record.DELIVER, _NO_CONDITIONS)
+_DROPPED = (_Record.DROP, _NO_CONDITIONS)
+
+
 class DeliveryEngine:
     """Streams the authorized view, buffering only undecided regions."""
 
     def __init__(self, mode: ViewMode = ViewMode.SKELETON, memory=None) -> None:
         self.mode = mode
         self._memory = memory
+        #: Released events, in document order, not yet taken by the
+        #: caller.  The card's pump serializes and clears it once per
+        #: chunk; :meth:`drain` hands it out as a list.
+        self.output: list[Event] = []
+        #: Output order-blocked behind the first unresolved hole.
         self._root_items: list[Item] = []
-        self._root_sink = _Sink(target=self._root_items)
+        self._root_sink = _Sink(target=self.output)
         self._records: list[_Record] = []
         self.max_pending_bytes = 0
-        #: Set the first time a pending hole is created; until then the
-        #: root buffer provably holds plain events only (shell holes
-        #: are only ever triggered by a pending hole flowing through),
-        #: so :meth:`drain` can skip the hole scan and the pending-RAM
-        #: sample (the "pending" pool is exactly the holes' charges).
+        #: Set the first time a pending hole is created.  Until then
+        #: nothing can be order-blocked (shell holes are only ever
+        #: triggered by a pending hole flowing through), so the root
+        #: sink appends straight to :attr:`output` and :meth:`release`
+        #: skips the hole scan and the pending-RAM sample (the
+        #: "pending" pool is exactly the holes' charges).
         self._hole_born = False
 
     # -- decision combination ---------------------------------------------
@@ -206,28 +215,28 @@ class DeliveryEngine:
         A definite DENY on either side drops the element regardless of
         the other side; both must be definitively PERMIT to deliver.
         The two sides are folded directly (no list materialization --
-        this runs at least once per element per session).
+        this runs at least once per element per session); resolved
+        statuses are the two shared instances, so they compare by
+        identity.
         """
         auth_status = auth.status()
-        query_status = query.status() if query is not None else None
-        if isinstance(auth_status, Resolved):
-            if auth_status.sign is Sign.DENY:
-                return _Record.DROP, _NO_CONDITIONS
-            auth_unknowns = None
-        else:
-            auth_unknowns = auth_status.unknowns
-        if query_status is None:
+        if auth_status is RESOLVED_DENY:
+            return _DROPPED
+        auth_unknowns = (
+            None if auth_status is RESOLVED_PERMIT else auth_status.unknowns
+        )
+        if query is None:
             if auth_unknowns:
                 return _Record.PENDING, auth_unknowns
-            return _Record.DELIVER, _NO_CONDITIONS
-        if isinstance(query_status, Resolved):
-            if query_status.sign is Sign.DENY:
-                return _Record.DROP, _NO_CONDITIONS
-            query_unknowns = None
-        else:
-            query_unknowns = query_status.unknowns
+            return _DELIVERED
+        query_status = query.status()
+        if query_status is RESOLVED_DENY:
+            return _DROPPED
+        query_unknowns = (
+            None if query_status is RESOLVED_PERMIT else query_status.unknowns
+        )
         if not auth_unknowns and not query_unknowns:
-            return _Record.DELIVER, _NO_CONDITIONS
+            return _DELIVERED
         unknowns: set[Condition] = set()
         if auth_unknowns:
             unknowns.update(auth_unknowns)
@@ -242,29 +251,38 @@ class DeliveryEngine:
         event: OpenEvent,
         auth: DecisionNode,
         query: DecisionNode | None = None,
-    ) -> None:
-        """Process an element open with its (possibly pending) decisions."""
-        parent_sink = self._records[-1].sink if self._records else self._root_sink
+    ) -> str:
+        """Process an element open with its (possibly pending) decisions.
+
+        Returns the element's delivery kind (``_Record.DELIVER``,
+        ``DROP`` or ``PENDING``): the card's skip test reads it instead
+        of folding the decisions a second time.
+        """
+        records = self._records
+        parent_sink = records[-1].sink if records else self._root_sink
         kind, unknowns = self._combined_status(auth, query)
-        if kind == _Record.DELIVER:
+        if kind is _Record.DELIVER:
             parent_sink.append(event)
             record = _Record(kind, parent_sink, event)
-        elif kind == _Record.DROP:
+        elif kind is _Record.DROP:
             sink = _Sink(
-                parent=parent_sink,
-                shell_open=event,
-                memory=self._memory,
-                prune=self.mode is ViewMode.PRUNE,
+                None, parent_sink, event, self._memory, self.mode is ViewMode.PRUNE
             )
             record = _Record(kind, sink, event)
         else:
             hole = _Hole(event, self._memory)
-            self._hole_born = True
+            if not self._hole_born:
+                # From now on root output may be order-blocked: it
+                # queues behind the hole and :meth:`release` moves the
+                # settled prefix to ``output``.
+                self._hole_born = True
+                self._root_sink._target = self._root_items
             parent_sink.append(hole)
             record = _Record(kind, _Sink(target=hole), event)
             record.hole = hole
             self._watch(hole, auth, query, unknowns)
-        self._records.append(record)
+        records.append(record)
+        return kind
 
     def _watch(
         self,
@@ -368,31 +386,34 @@ class DeliveryEngine:
                 new_items.append(item)
             items[:] = new_items
 
-    def drain(self) -> list[Event]:
-        """Emit every event no longer order-blocked by a pending hole."""
-        root_items = self._root_items
+    def release(self) -> None:
+        """Move every event no longer order-blocked to :attr:`output`."""
         if not self._hole_born:
-            # Hot path: no hole was ever created, so nothing is
-            # order-blocked and nothing was charged to "pending".
-            if not root_items:
-                return []
-            emitted = list(root_items)
-            root_items.clear()
-            return emitted
+            return  # root output went straight to ``output``
         if self._memory is not None:
             self.max_pending_bytes = max(
                 self.max_pending_bytes, self._memory.usage("pending")
             )
-        self._settle(self._root_items)
-        emitted: list[Event] = []
+        root_items = self._root_items
+        self._settle(root_items)
         count = 0
-        for item in self._root_items:
+        for item in root_items:
             if isinstance(item, _Hole):
                 break
             assert not isinstance(item, _SelfText)
-            emitted.append(item)
             count += 1
-        del self._root_items[:count]
+        if count:
+            self.output.extend(root_items[:count])  # type: ignore[arg-type]
+            del root_items[:count]
+
+    def drain(self) -> list[Event]:
+        """Release, then hand out (and clear) :attr:`output`."""
+        self.release()
+        output = self.output
+        if not output:
+            return []
+        emitted = list(output)
+        output.clear()
         return emitted
 
     def finish(self) -> list[Event]:

@@ -3,10 +3,11 @@
 Binds together an automata engine (:mod:`repro.core.product` or
 :mod:`repro.core.runtime`, chosen once per path set) and the decision
 chain (:mod:`repro.core.decisions`): on every ``open`` all
-automata advance and the direct matches reported for the new node are
-folded into a fresh :class:`DecisionNode`; ``close`` backtracks the
-automata, finalizes the predicate conditions anchored at the node and
-pops the decision.
+automata advance and the direct matches reported for the new node
+decide it -- a fresh :class:`DecisionNode` when a match is conditional
+or there is none, a shared resolved decision when every match is
+unconditional; ``close`` backtracks the automata, finalizes the
+predicate conditions anchored at the node and pops the decision.
 
 The same class evaluates the user *query* (pull scenarios): a query is
 compiled exactly like a single positive rule under a closed-world
@@ -21,7 +22,7 @@ from typing import Iterable
 
 from repro.core.compiled import CompiledPolicy, compile_policy
 from repro.core.conditions import Condition
-from repro.core.decisions import DECISION_BYTES, DecisionNode
+from repro.core.decisions import DECISION_BYTES, DENIED, PERMITTED, DecisionNode
 from repro.core.nfa import CompiledPath, compile_path
 from repro.core.product import ProductEngine
 from repro.core.rules import RuleSet, Sign, Subject
@@ -32,14 +33,16 @@ from repro.xpathlib.ast import Path
 class _RuleSink:
     """Routes completed rule matches to the node being opened."""
 
-    __slots__ = ("evaluator", "sign")
+    __slots__ = ("collected", "sign")
 
-    def __init__(self, evaluator: "StreamingEvaluator", sign: Sign) -> None:
-        self.evaluator = evaluator
+    def __init__(
+        self, collected: list[tuple[Sign, frozenset[Condition]]], sign: Sign
+    ) -> None:
+        self.collected = collected
         self.sign = sign
 
     def on_match(self, conditions: frozenset[Condition]) -> None:
-        self.evaluator._report(self.sign, conditions)
+        self.collected.append((self.sign, conditions))
 
 
 class StreamingEvaluator:
@@ -76,11 +79,11 @@ class StreamingEvaluator:
             if all(path.pure for path, __ in paths)
             else TokenEngine
         )
-        self._engine: ProductEngine | TokenEngine = cls(
+        self.engine: ProductEngine | TokenEngine = cls(
             memory=memory, stats=self._stats
         )
         for path, sign in paths:
-            self._engine.add_automaton(path, _RuleSink(self, sign))
+            self.engine.add_automaton(path, _RuleSink(self._collected, sign))
 
     # -- construction -----------------------------------------------------
 
@@ -146,47 +149,49 @@ class StreamingEvaluator:
 
     # -- events -------------------------------------------------------------
 
-    def _report(self, sign: Sign, conditions: frozenset[Condition]) -> None:
-        self._collected.append((sign, conditions))
-
     def open(self, tag: str) -> DecisionNode:
-        """Advance automata on an open; return the new node's decision."""
-        self._collected.clear()
-        self._engine.open(tag)
-        node = DecisionNode(parent=self._decisions[-1])
+        """Advance automata on an open; return the new node's decision.
+
+        A node whose direct matches are all unconditional has a final
+        sign the moment it opens (Denial-Takes-Precedence), so a shared
+        resolved decision stands in for it; only nodes with no match
+        (which fall back to their parent) or with a conditional match
+        get a decision node of their own.
+        """
+        collected = self._collected
+        collected.clear()
+        self.engine.open(tag)
+        decisions = self._decisions
         if self._memory is not None:
             self._memory.allocate("signs", DECISION_BYTES)
-        for sign, conditions in self._collected:
-            node.add_match(sign, conditions)
-        self._decisions.append(node)
+        if not collected or any(conditions for __, conditions in collected):
+            node = DecisionNode(decisions[-1])
+            for sign, conditions in collected:
+                node.add_match(sign, conditions)
+        elif any(sign is Sign.DENY for sign, __ in collected):
+            node = DENIED
+        else:
+            node = PERMITTED
+        decisions.append(node)
         return node
 
     def value(self, text: str) -> None:
-        self._engine.value(text)
+        self.engine.value(text)
 
     def close(self) -> None:
-        self._engine.close()
+        self.engine.close()
         self._decisions.pop()
         if self._memory is not None:
             self._memory.release("signs", DECISION_BYTES)
 
-    # -- skip-index interface -------------------------------------------------
-
-    def can_complete_inside(self, tags_inside: frozenset[str]) -> bool:
-        """Whether any automaton could reach a final state in a subtree
-        containing exactly the given element tags."""
-        return self._engine.can_complete_inside(tags_inside)
-
-    def has_watchers_on_top(self) -> bool:
-        """Whether the current node's text feeds a value predicate."""
-        return self._engine.has_watchers_on_top()
+    # -- state --------------------------------------------------------------
 
     def current_decision(self) -> DecisionNode:
         """Decision of the innermost open element (or the default)."""
         return self._decisions[-1]
 
     def active_token_count(self) -> int:
-        return self._engine.active_token_count()
+        return self.engine.active_token_count()
 
     @property
     def stats(self) -> EngineStats:

@@ -8,7 +8,7 @@ one-call convenience API used by examples and tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.compiled import CompiledPolicy, PolicyRegistry, compile_policy
 from repro.core.delivery import DeliveryEngine, ViewMode
@@ -20,17 +20,24 @@ from repro.xmlstream.events import CloseEvent, Event, OpenEvent, ValueEvent
 from repro.xpathlib.ast import Path
 from repro.xpathlib.parser import parse_path
 
+if TYPE_CHECKING:
+    from repro.skipindex.tagdict import TagDictionary
+
 
 class AccessController:
     """Streaming access-control pipeline for one (document, subject) pair.
 
-    Feed it the document's events; collect authorized output as it
-    becomes available::
+    Feed it the document's events; released output accumulates in
+    :attr:`output`, in document order, until the caller takes it::
 
         controller = AccessController(rules, subject="alice")
         for event in events:
-            output.extend(controller.feed(event))
-        output.extend(controller.finish())
+            controller.feed(event)
+        view = controller.take() + controller.finish()
+
+    The card's pump takes :attr:`output` once per chunk rather than once
+    per event; :func:`stream_authorized_view` takes it whenever it is
+    non-empty.
 
     ``rules`` may be a plain :class:`RuleSet` (compiled on the spot, or
     through ``registry`` when one is given) or a prebuilt
@@ -94,14 +101,26 @@ class AccessController:
             if self.compiled_query is not None
             else None
         )
+        #: The automata engines the skip test asks (rules, then query).
+        self._engines = tuple(
+            evaluator.engine
+            for evaluator in (self._policy, self._query)
+            if evaluator is not None
+        )
         self._delivery = DeliveryEngine(mode, memory=memory)
+        #: Released events not yet taken (the delivery engine's buffer).
+        self.output = self._delivery.output
         self._depth = 0
         self._finished = False
 
     # -- streaming interface ------------------------------------------------
 
-    def feed(self, event: Event) -> list[Event]:
-        """Process one event; return output events released by it.
+    def feed(self, event: Event) -> str | None:
+        """Process one event; released output is appended to :attr:`output`.
+
+        Returns the delivery kind of the element an open event opened
+        (``_Record.DELIVER``, ``DROP`` or ``PENDING``), ``None`` for
+        text and close events.
 
         Exact-type dispatch first (the event classes are final in
         practice), with the isinstance chain kept as a fallback for
@@ -110,32 +129,44 @@ class AccessController:
         if self._finished:
             raise RuntimeError("controller already finished")
         cls = type(event)
+        delivery = self._delivery
+        query = self._query
+        kind = None
         if cls is OpenEvent or isinstance(event, OpenEvent):
-            auth = self._policy.open(event.tag)
-            query = self._query.open(event.tag) if self._query else None
-            self._delivery.open(event, auth, query)
+            tag = event.tag
+            kind = delivery.open(
+                event,
+                self._policy.open(tag),
+                query.open(tag) if query is not None else None,
+            )
             self._depth += 1
+        elif cls is CloseEvent or isinstance(event, CloseEvent):
+            if self._depth == 0:
+                raise ValueError("unbalanced close event")
+            delivery.close(event)
+            self._policy.close()
+            if query is not None:
+                query.close()
+            self._depth -= 1
         elif cls is ValueEvent or isinstance(event, ValueEvent):
             if self._depth == 0:
                 raise ValueError("text event outside the root element")
             self._policy.value(event.text)
-            if self._query:
-                self._query.value(event.text)
-            self._delivery.value(event)
-        elif cls is CloseEvent or isinstance(event, CloseEvent):
-            if self._depth == 0:
-                raise ValueError("unbalanced close event")
-            self._delivery.close(event)
-            self._policy.close()
-            if self._query:
-                self._query.close()
-            self._depth -= 1
+            if query is not None:
+                query.value(event.text)
+            delivery.value(event)
         else:  # pragma: no cover - defensive
             raise TypeError(f"not an event: {event!r}")
+        if delivery._hole_born:
+            delivery.release()
+        return kind
+
+    def take(self) -> list[Event]:
+        """Hand out (and clear) the output released so far."""
         return self._delivery.drain()
 
     def finish(self) -> list[Event]:
-        """Signal end of document; return the final output events."""
+        """Signal end of document; return the output not yet taken."""
         if self._depth != 0:
             raise ValueError("document ended with unclosed elements")
         self._finished = True
@@ -143,22 +174,22 @@ class AccessController:
 
     # -- skip-index interface (used by the card applet) -----------------------
 
-    def subtree_is_irrelevant(self, tags_inside: frozenset[str]) -> bool:
+    def subtree_is_irrelevant(
+        self, tags_inside: frozenset[int], dictionary: "TagDictionary"
+    ) -> bool:
         """Whether a subtree of the innermost node can be skipped
         *semantically*: no automaton (rule or query) can complete inside
         and no value predicate is collecting the node's text.
 
-        The applet combines this with the delivery status (a subtree is
+        ``tags_inside`` holds the ids, in ``dictionary``, of the tags
+        occurring inside the subtree (the skip index's bitmap).  The
+        applet combines this with the delivery status (a subtree is
         only actually skipped when it is also not being delivered).
         """
-        if self._policy.can_complete_inside(tags_inside):
-            return False
-        if self._policy.has_watchers_on_top():
-            return False
-        if self._query is not None:
-            if self._query.can_complete_inside(tags_inside):
-                return False
-            if self._query.has_watchers_on_top():
+        for engine in self._engines:
+            if engine.can_complete_inside(
+                tags_inside, dictionary
+            ) or engine.has_watchers_on_top():
                 return False
         return True
 
@@ -229,5 +260,7 @@ def stream_authorized_view(
         registry=registry,
     )
     for event in events:
-        yield from controller.feed(event)
+        controller.feed(event)
+        if controller.output:
+            yield from controller.take()
     yield from controller.finish()

@@ -17,7 +17,10 @@ product machine, NFA->DFA on the fly:
   *outside* the interned state as a count vector, and the arithmetic
   for a given ``(transition, counts)`` pair is itself memoized -- the
   steady state of a document replays ``(entry, tag, counts)`` triples
-  it has already solved.
+  it has already solved, each one a dict hit on the frame it leaves
+  (:class:`_Frame`);
+* the skip index's **reachability test** is memoized per state, keyed
+  by the tag-id set the decoder hands over.
 
 The machine is a **wall-clock optimization only**: for every event it
 produces the exact :class:`~repro.core.runtime.EngineStats` deltas,
@@ -42,6 +45,8 @@ under one effective policy advances *one* product machine per event.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.conditions import EMPTY_CONDITIONS
 from repro.core.nfa import CompiledPath
 from repro.core.runtime import (
@@ -50,6 +55,9 @@ from repro.core.runtime import (
     EngineStats,
     MatchSink,
 )
+
+if TYPE_CHECKING:
+    from repro.skipindex.tagdict import TagDictionary
 
 
 class _Totals:
@@ -104,7 +112,7 @@ class _StateEntry:
         "weights",  # per-position sink fan-out (token multiplier)
         "suffixes",  # per-position suffix label sets (skip-index test)
         "transitions",  # tag -> _Transition, built lazily
-        "reach_memo",  # tags_inside -> bool, for can_complete_inside
+        "reach_memo",  # tag-id set -> bool, for can_complete_inside
     )
 
     def __init__(
@@ -117,7 +125,34 @@ class _StateEntry:
         self.weights = weights
         self.suffixes = suffixes
         self.transitions: dict[str, _Transition] = {}
-        self.reach_memo: dict[frozenset[str], bool] = {}
+        self.reach_memo: dict[frozenset[int], bool] = {}
+
+
+class _Frame:
+    """One element frame: an interned state plus its token counts.
+
+    The memo hands out the same frame every time a step repeats, so
+    the frame also caches its own steps by tag: the steady state of a
+    document is one dict hit per open.
+    """
+
+    __slots__ = ("entry", "counts", "total", "nbytes", "steps")
+
+    def __init__(
+        self, entry: "_StateEntry", counts: tuple[int, ...], total: int
+    ) -> None:
+        self.entry = entry
+        self.counts = counts
+        #: Weighted token total (the token engine's token count).
+        self.total = total
+        #: Modeled RAM of the frame: the frame itself and its tokens.
+        self.nbytes = FRAME_BYTES + TOKEN_BYTES * total
+        #: tag -> solved step.
+        self.steps: dict[str, _Step] = {}
+
+
+#: A solved step: (next frame, token advances, sinks to fire).
+_Step = tuple[_Frame, int, tuple[MatchSink, ...]]
 
 
 class _Transition:
@@ -145,11 +180,8 @@ class _Transition:
         #: (current position, sinks) pairs whose *final* step matches
         #: -- each sink fires once per token of that position.
         self.matchers = matchers
-        #: counts -> (new_counts, new_total, advances, fires) memo.
-        self.memo: dict[
-            tuple[int, ...],
-            tuple[tuple[int, ...], int, int, tuple[MatchSink, ...]],
-        ] = {}
+        #: counts -> (next frame, advances, fires) memo.
+        self.memo: dict[tuple[int, ...], _Step] = {}
 
 
 class ProductEngine:
@@ -167,10 +199,12 @@ class ProductEngine:
         self._slots: list[_Slot] = []
         self._slot_of: dict[int, int] = {}  # id(path) -> slot index
         self._intern: dict[frozenset[tuple[int, int]], _StateEntry] = {}
-        #: Stack of (entry, counts, weighted token total); built from
-        #: the registered slots when the root opens.
-        self._frames: list[tuple[_StateEntry, tuple[int, ...], int]] | None = None
+        #: Stack of frames; built from the registered slots when the
+        #: root opens.
+        self._frames: list[_Frame] | None = None
         self._root_tokens = 0
+        #: The tag dictionary the reach memos' id sets refer to.
+        self._reach_dictionary: TagDictionary | None = None
         self._charge(FRAME_BYTES)
 
     # -- memory hooks ---------------------------------------------------
@@ -178,10 +212,6 @@ class ProductEngine:
     def _charge(self, nbytes: int) -> None:
         if self._memory is not None:
             self._memory.allocate("engine", nbytes)
-
-    def _release(self, nbytes: int) -> None:
-        if self._memory is not None:
-            self._memory.release("engine", nbytes)
 
     # -- setup ----------------------------------------------------------
 
@@ -243,7 +273,7 @@ class ProductEngine:
         )
         entry = self._intern_state(key)
         counts = (1,) * len(entry.positions)
-        self._frames = [(entry, counts, self._root_tokens)]
+        self._frames = [_Frame(entry, counts, self._root_tokens)]
 
     # -- transition construction ---------------------------------------
 
@@ -299,7 +329,7 @@ class ProductEngine:
 
     def _build_memo(
         self, transition: _Transition, counts: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], int, int, tuple[MatchSink, ...]]:
+    ) -> _Step:
         """Solve the count arithmetic of one (transition, counts) pair."""
         self.stats.tokens_touched += len(counts)
         _TOTALS.tokens_touched += len(counts)
@@ -322,9 +352,22 @@ class ProductEngine:
             else:
                 for sink in sinks:
                     fires.extend([sink] * count)
-        memo = (new_counts, new_total, advances, tuple(fires))
+        frame = _Frame(transition.next_entry, new_counts, new_total)
+        memo = (frame, advances, tuple(fires))
         transition.memo[counts] = memo
         return memo
+
+    def _step(self, frame: _Frame, tag: str) -> _Step:
+        """Solve (or find) the step of ``tag`` from ``frame``, once."""
+        entry = frame.entry
+        transition = entry.transitions.get(tag)
+        if transition is None:
+            transition = self._build_transition(entry, tag)
+        step = transition.memo.get(frame.counts)
+        if step is None:
+            step = self._build_memo(transition, frame.counts)
+        frame.steps[tag] = step
+        return step
 
     # -- event processing ------------------------------------------------
 
@@ -335,31 +378,27 @@ class ProductEngine:
         if frames is None:
             self._seal()
             frames = self._frames
-        entry, counts, total = frames[-1]
+        frame = frames[-1]
         stats = self.stats
         stats.events += 1
         stats.events_pumped += 1
         _TOTALS.events_pumped += 1
-        stats.token_checks += total
-        transition = entry.transitions.get(tag)
-        if transition is None:
-            transition = self._build_transition(entry, tag)
-        memo = transition.memo.get(counts)
-        if memo is None:
-            memo = self._build_memo(transition, counts)
-        new_counts, new_total, advances, fires = memo
+        stats.token_checks += frame.total
+        step = frame.steps.get(tag)
+        if step is None:
+            step = self._step(frame, tag)
+        opened, advances, fires = step
         stats.token_advances += advances
-        for sink in fires:
-            sink.on_match(EMPTY_CONDITIONS)
-        frames.append((transition.next_entry, new_counts, new_total))
+        if fires:
+            for sink in fires:
+                sink.on_match(EMPTY_CONDITIONS)
+        frames.append(opened)
         # One combined allocation: the token engine charges the frame
         # then its tokens back to back with no release in between, so
         # the running total (and therefore the high-water mark) is
         # identical.
         if self._memory is not None:
-            self._memory.allocate(
-                "engine", FRAME_BYTES + TOKEN_BYTES * new_total
-            )
+            self._memory.allocate("engine", opened.nbytes)
 
     def value(self, text: str) -> None:
         """Text events carry no watchers on pure paths: count and move on."""
@@ -377,27 +416,36 @@ class ProductEngine:
         frames = self._frames
         if frames is None or len(frames) <= 1:
             raise RuntimeError("close event without a matching open")
-        __, __, total = frames.pop()
-        self._release(FRAME_BYTES + TOKEN_BYTES * total)
+        nbytes = frames.pop().nbytes
+        if self._memory is not None:
+            self._memory.release("engine", nbytes)
 
     # -- skip-index queries ----------------------------------------------
 
-    def can_complete_inside(self, tags_inside: frozenset[str]) -> bool:
+    def can_complete_inside(
+        self, tags_inside: frozenset[int], dictionary: TagDictionary
+    ) -> bool:
         """Reachability test of Section 2.3, memoized per interned state.
 
         Pure paths carry no conditions, so the token engine's "skip
         suspended rules" filter never removes anything and the answer
-        depends only on (state set, tag set) -- cacheable on the entry.
+        depends only on (state set, tag set) -- cacheable on the entry,
+        keyed by the skip index's tag-id set as decoded.  Names are
+        resolved through ``dictionary`` only on a memo miss; the memos
+        are dropped if a different dictionary (document) shows up.
         """
         if self._frames is None:
             self._seal()
-        entry = self._frames[-1][0]
+        if dictionary is not self._reach_dictionary:
+            for interned in self._intern.values():
+                interned.reach_memo.clear()
+            self._reach_dictionary = dictionary
+        entry = self._frames[-1].entry
         memo = entry.reach_memo
         result = memo.get(tags_inside)
         if result is None:
-            result = any(
-                needed <= tags_inside for needed in entry.suffixes
-            )
+            names = dictionary.ids_to_names(tags_inside)
+            result = any(needed <= names for needed in entry.suffixes)
             memo[tags_inside] = result
         return result
 
@@ -409,4 +457,4 @@ class ProductEngine:
         """Number of live tokens (used by RAM benchmarks)."""
         if self._frames is None:
             return self._root_tokens
-        return sum(total for __, __, total in self._frames)
+        return sum(frame.total for frame in self._frames)

@@ -26,7 +26,7 @@ the matched node and fire at its ``close``.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.core.conditions import (
     EMPTY_CONDITIONS,
@@ -36,6 +36,9 @@ from repro.core.conditions import (
 )
 from repro.core.nfa import CompiledPath, CompiledStep
 from repro.xpathlib.ast import Comparison
+
+if TYPE_CHECKING:
+    from repro.skipindex.tagdict import TagDictionary
 
 #: Modeled sizes (bytes) of runtime structures inside the card's secure
 #: RAM.  Chosen to reflect a compact C implementation on the target
@@ -339,15 +342,19 @@ class TokenEngine:
 
     # -- skip-index queries ----------------------------------------------
 
-    def can_complete_inside(self, tags_inside: frozenset[str]) -> bool:
+    def can_complete_inside(
+        self, tags_inside: frozenset[int], dictionary: "TagDictionary"
+    ) -> bool:
         """Whether any active automaton could reach a final state within
-        a subtree containing exactly ``tags_inside`` element tags.
+        a subtree containing exactly the element tags whose ids (in
+        ``dictionary``) are ``tags_inside``.
 
         This is the reachability test of Section 2.3: "to check whether
         an access rule automaton is likely to reach its final state".
         The test is conservative -- wildcard steps contribute no label
         and therefore never rule a subtree out.
         """
+        names = dictionary.ids_to_names(tags_inside)
         for token in self._frames[-1].tokens:
             if any(
                 condition.state is Tristate.FALSE
@@ -357,7 +364,7 @@ class TokenEngine:
                 # whose guards already failed can never contribute.
                 continue
             needed = token.path.suffix_labels[token.index]
-            if needed <= tags_inside:
+            if needed <= names:
                 return True
         return False
 

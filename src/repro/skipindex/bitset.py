@@ -78,12 +78,19 @@ def decode_relative(
     if support is None:
         support = tuple(sorted(parent_ids))
     value = int.from_bytes(data[offset:offset + width], "little")
-    # Stray padding bits beyond the support are ignored (as the
-    # bit-by-bit decoder did).
+    return ids_on_support(value, support), offset + width
+
+
+def ids_on_support(value: int, support: tuple[int, ...]) -> frozenset[int]:
+    """The tag ids a parent-relative bit array ``value`` selects.
+
+    ``support`` is the sorted parent id list.  Stray padding bits
+    beyond the support are ignored (as the bit-by-bit decoder did).
+    """
     value &= (1 << len(support)) - 1
     ids = []
     while value:
         low = value & -value
         ids.append(support[low.bit_length() - 1])
         value ^= low
-    return frozenset(ids), offset + width
+    return frozenset(ids)

@@ -9,19 +9,20 @@ the decoder discards buffered bytes in the region, synthesizes the
 matching close, and reports the absolute ``resume_offset`` so the proxy
 can stop transferring the skipped chunks at all.
 
-The buffer is consumed through a read cursor with amortized compaction
-(no ``del buffer[:n]`` per token) and tokens are decoded directly off
-the live buffer -- the seed copied the entire buffered region once per
-OPEN token.  Varint runs decode in one batched pass per token, and the
-sorted support of a parent's tag set is computed once per parent
-rather than once per child bitmap.
+The buffer is consumed through a read cursor, compacted (amortized)
+when the next chunk is pushed rather than per token, and tokens are
+decoded directly off the live buffer -- the seed copied the entire
+buffered region once per OPEN token.  Varint runs decode in one
+batched pass per token, and a child's parent-relative tag bitmap
+decodes once per distinct (parent tag set, bitmap) pair: later
+occurrences reuse the same id set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.skipindex.bitset import decode_relative, ids_from_bitmap
+from repro.skipindex.bitset import ids_from_bitmap, ids_on_support, relative_width
 from repro.skipindex.encoder import IndexMode, MAGIC, OP_CLOSE, OP_OPEN, OP_TEXT
 from repro.skipindex.tagdict import TagDictionary
 from repro.skipindex.varint import decode_varint, width_for_bound
@@ -35,10 +36,17 @@ class SXSFormatError(ValueError):
 class DecodedOpen:
     """An element open with its skip metadata.
 
-    ``tags_inside`` is the set of tag *names* occurring strictly inside
-    the subtree (``None`` when the stream carries no index);
-    ``resume_offset`` is the absolute offset just past the subtree
-    (``None`` without an index).
+    ``tags_inside`` is the set of tag *ids* (in the stream's
+    :attr:`SXSDecoder.dictionary`) occurring strictly inside the
+    subtree, ``None`` when the stream carries no index: the card's
+    reachability test keys on the ids, and names are resolved only when
+    a test is not memoized yet.  ``resume_offset`` is the absolute
+    offset just past the subtree (``None`` without an index).
+
+    The item is also the decoder's frame for the element until it
+    closes: the decoder's stack of open elements is the stack of the
+    opens it handed out, and the private slots cache how the element's
+    children decode.
 
     The ``Decoded*`` wrappers are plain slotted classes, not frozen
     dataclasses: one is born per stream item on the card's hottest
@@ -46,12 +54,19 @@ class DecodedOpen:
     the rest of the dispatch.
     """
 
-    __slots__ = ("event", "tags_inside", "content_size", "resume_offset")
+    __slots__ = (
+        "event",
+        "tags_inside",
+        "content_size",
+        "resume_offset",
+        "_child_width",
+        "_children",
+    )
 
     def __init__(
         self,
         event: OpenEvent,
-        tags_inside: frozenset[str] | None,
+        tags_inside: frozenset[int] | None,
         content_size: int | None,
         resume_offset: int | None,
     ) -> None:
@@ -59,6 +74,12 @@ class DecodedOpen:
         self.tags_inside = tags_inside
         self.content_size = content_size
         self.resume_offset = resume_offset
+        #: Byte width of the children's size fields (RECURSIVE; set on
+        #: the first child).
+        self._child_width: int | None = None
+        #: How the children's relative tag sets decode
+        #: (:meth:`SXSDecoder._children_of`; set on the first child).
+        self._children: _Children | None = None
 
 
 class DecodedText:
@@ -79,33 +100,12 @@ class DecodedClose:
 DecodedItem = DecodedOpen | DecodedText | DecodedClose
 
 
-class _OpenFrame:
-    __slots__ = (
-        "tag",
-        "tags_inside",
-        "content_size",
-        "content_start",
-        "support",
-        "child_width",
-    )
-
-    def __init__(
-        self,
-        tag: str,
-        tags_inside: frozenset[int] | None,
-        content_size: int | None,
-        content_start: int,
-    ) -> None:
-        self.tag = tag
-        self.tags_inside = tags_inside
-        self.content_size = content_size
-        self.content_start = content_start
-        #: Sorted ``tags_inside`` (computed on first child, reused by
-        #: every sibling's relative bitmap).
-        self.support: tuple[int, ...] | None = None
-        #: Byte width of child size fields (derived from content_size
-        #: once per parent instead of once per child).
-        self.child_width: int | None = None
+#: Per parent tag set: the byte width of a child's relative bit array,
+#: the sorted support it indexes, and a memo from the array's value to
+#: the decoded id set.  Siblings, and same-shaped subtrees anywhere in
+#: the document, repeat the same few sets, so most children decode to
+#: an already built (and already hashed) frozenset.
+_Children = tuple[int, tuple[int, ...], dict[int, frozenset[int]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,22 +137,28 @@ class SXSDecoder:
         self._pos = 0  # read cursor into _buffer
         self._mode: IndexMode | None = None
         self.dictionary: TagDictionary | None = None
-        self._stack: list[_OpenFrame] = []
+        self._tag_names: list[str] = []  # the dictionary's, by id
+        self._children: dict[frozenset[int], _Children] = {}
+        self._stack: list[DecodedOpen] = []
         self._pending_close: list[str] = []
         self._skip_target: int | None = None
         self._document_done = False
-        self.bytes_decoded = 0
-        # Per-tag event memos: events are immutable value objects, so
-        # every </patient> can be the same CloseEvent instance (ditto
-        # attribute-less opens).  The tag universe is the dictionary's.
-        self._close_events: dict[str, CloseEvent] = {}
+        self._origin = 0  # absolute offset decoding started at
+        self._skipped = 0  # bytes jumped over by skips
+        # Per-tag memos: events and decoded items are immutable value
+        # objects, so every </patient> can be the same DecodedClose
+        # (ditto attribute-less opens).  The tag universe is the
+        # dictionary's.
+        self._closes: dict[str, DecodedClose] = {}
+        self._synthetic_closes: dict[str, DecodedClose] = {}
         self._plain_opens: dict[str, OpenEvent] = {}
 
-    def _close_event(self, tag: str) -> CloseEvent:
-        event = self._close_events.get(tag)
-        if event is None:
-            event = self._close_events[tag] = CloseEvent(tag)
-        return event
+    def _close_item(self, tag: str, synthetic: bool) -> DecodedClose:
+        memo = self._synthetic_closes if synthetic else self._closes
+        item = memo.get(tag)
+        if item is None:
+            item = memo[tag] = DecodedClose(CloseEvent(tag), synthetic)
+        return item
 
     # -- input ----------------------------------------------------------
 
@@ -188,23 +194,21 @@ class SXSDecoder:
             raise SXSFormatError(
                 f"non-contiguous push: expected offset {end}, got {offset}"
             )
-        self._buffer.extend(data)
-
-    def _advance(self, count: int) -> None:
-        """Move the cursor past ``count`` decoded bytes."""
-        position = self._pos + count
-        self._pos = position
-        self.bytes_decoded += count
+        position = self._pos
         if position >= _COMPACT_THRESHOLD and position * 2 >= len(self._buffer):
             del self._buffer[:position]
             self._base += position
             self._pos = 0
+        self._buffer.extend(data)
+
+    @property
+    def bytes_decoded(self) -> int:
+        """Bytes consumed by decoding so far (skipped bytes excluded)."""
+        return self._base + self._pos - self._origin - self._skipped
 
     # -- header -----------------------------------------------------------
 
     def _try_parse_header(self) -> bool:
-        if self.dictionary is not None:
-            return True
         if len(self._buffer) - self._pos < len(MAGIC) + 1:
             return False
         start = self._pos
@@ -223,64 +227,93 @@ class SXSDecoder:
             )
         except ValueError:
             return False  # need more bytes
+        self._use_dictionary(dictionary, mode)
+        self._pos = offset
+        return True
+
+    def _use_dictionary(self, dictionary: TagDictionary, mode: IndexMode) -> None:
         self._mode = mode
         self.dictionary = dictionary
-        self._advance(offset - start)
-        return True
+        self._tag_names = list(dictionary)
+
+    def _children_of(self, frame: DecodedOpen) -> _Children:
+        """Decode context for the children of ``frame`` (RECURSIVE)."""
+        tags = frame.tags_inside
+        assert tags is not None
+        children = self._children.get(tags)
+        if children is None:
+            children = self._children[tags] = (
+                relative_width(tags),
+                tuple(sorted(tags)),
+                {},
+            )
+        frame._children = children
+        return children
 
     # -- item decoding -------------------------------------------------------
 
     def next_item(self) -> DecodedItem | None:
-        """Decode and return the next item, or ``None`` if starved."""
+        """Decode and return the next item, or ``None`` if starved.
+
+        This runs once per item on the card's hottest loop, so close
+        and text tokens decode inline; opens carry the skip metadata
+        and go through :meth:`_try_decode_open`.
+        """
         if self._pending_close:
             tag = self._pending_close.pop()
-            return DecodedClose(self._close_event(tag), synthetic=True)
-        if self._skip_target is not None:
-            return None  # waiting for post-skip bytes
-        if not self._try_parse_header():
+            item = self._synthetic_closes.get(tag)
+            if item is None:
+                item = self._close_item(tag, True)
+            return item
+        if self._skip_target is not None or self._document_done:
+            return None  # waiting for post-skip bytes, or finished
+        if self.dictionary is None and not self._try_parse_header():
             return None
-        if self._document_done:
-            return None
-        item = self._try_decode_token()
-        return item
-
-    def _try_decode_token(self) -> DecodedItem | None:
         buffer = self._buffer
         start = self._pos
         if start >= len(buffer):
             return None
         opcode = buffer[start]
+        if opcode == OP_OPEN:
+            return self._try_decode_open()
         if opcode == OP_CLOSE:
-            if not self._stack:
+            stack = self._stack
+            if not stack:
                 raise SXSFormatError("unbalanced CLOSE token")
-            frame = self._stack.pop()
-            self._advance(1)
-            if not self._stack:
+            tag = stack.pop().event.tag
+            self._pos = start + 1
+            if not stack:
                 self._document_done = True
-            return DecodedClose(self._close_event(frame.tag))
+            item = self._closes.get(tag)
+            if item is None:
+                item = self._close_item(tag, False)
+            return item
         if opcode == OP_TEXT:
-            try:
-                length, after = decode_varint(buffer, start + 1)
-            except ValueError:
-                return None
+            after = start + 1
+            if after < len(buffer) and buffer[after] < 0x80:
+                length, after = buffer[after], after + 1
+            else:
+                try:
+                    length, after = decode_varint(buffer, after)
+                except ValueError:
+                    return None
             if len(buffer) < after + length:
                 return None
             # Decode straight off the buffer via an unnamed temporary
-            # view -- it is released before _advance may compact (a
-            # live exported view would make the bytearray resize raise
-            # BufferError).
+            # view -- it is released before the next push may compact
+            # (a live exported view would make the bytearray resize
+            # raise BufferError).
             text = str(memoryview(buffer)[after:after + length], "utf-8")
-            self._advance(after - start + length)
+            self._pos = after + length
             return DecodedText(ValueEvent(text))
-        if opcode == OP_OPEN:
-            return self._try_decode_open()
         raise SXSFormatError(f"unknown opcode {opcode:#x}")
 
     def _try_decode_open(self) -> DecodedOpen | None:
-        assert self.dictionary is not None and self._mode is not None
+        mode = self._mode
         buffer = self._buffer
         start = self._pos
         size = len(buffer)
+        stack = self._stack
         try:
             # Batched field decode off the live buffer: the one-byte
             # varint case (nearly every tag id and length) is inlined.
@@ -299,90 +332,90 @@ class SXSDecoder:
                 n_attrs, offset = byte, offset + 1
             else:
                 n_attrs, offset = decode_varint(buffer, offset)
-            attributes: list[tuple[str, str]] = []
-            for _ in range(n_attrs):
-                name_len, offset = decode_varint(buffer, offset)
-                if offset + name_len > size:
-                    return None
-                name = str(memoryview(buffer)[offset:offset + name_len], "utf-8")
-                offset += name_len
-                value_len, offset = decode_varint(buffer, offset)
-                if offset + value_len > size:
-                    return None
-                value = str(memoryview(buffer)[offset:offset + value_len], "utf-8")
-                offset += value_len
-                attributes.append((name, value))
+            attributes: list[tuple[str, str]] | None = None
+            if n_attrs:
+                attributes = []
+                for _ in range(n_attrs):
+                    name_len, offset = decode_varint(buffer, offset)
+                    if offset + name_len > size:
+                        return None
+                    name = str(memoryview(buffer)[offset:offset + name_len], "utf-8")
+                    offset += name_len
+                    value_len, offset = decode_varint(buffer, offset)
+                    if offset + value_len > size:
+                        return None
+                    value = str(
+                        memoryview(buffer)[offset:offset + value_len], "utf-8"
+                    )
+                    offset += value_len
+                    attributes.append((name, value))
             tags_inside_ids: frozenset[int] | None = None
             content_size: int | None = None
-            if self._mode is IndexMode.FLAT:
+            if stack and mode is IndexMode.RECURSIVE:
+                parent = stack[-1]
+                width = parent._child_width
+                if width is None:
+                    width = parent._child_width = width_for_bound(
+                        parent.content_size  # type: ignore[arg-type]
+                    )
+                children = parent._children
+                if children is None:
+                    children = self._children_of(parent)
+                set_width, support, sets = children
+                end = offset + width + set_width
+                if end > size:
+                    return None
+                if width == 1:
+                    content_size = buffer[offset]
+                else:
+                    content_size = int.from_bytes(
+                        buffer[offset:offset + width], "little"
+                    )
+                offset += width
+                if set_width == 1:
+                    value = buffer[offset]
+                else:
+                    value = int.from_bytes(buffer[offset:end], "little")
+                offset = end
+                tags_inside_ids = sets.get(value)
+                if tags_inside_ids is None:
+                    tags_inside_ids = sets[value] = ids_on_support(value, support)
+            elif mode is not IndexMode.NONE:
+                # FLAT, and the RECURSIVE root: a bit array over the
+                # whole dictionary.
                 content_size, offset = decode_varint(buffer, offset)
-                width = (len(self.dictionary) + 7) // 8
+                universe = len(self._tag_names)
+                width = (universe + 7) // 8
                 if offset + width > size:
                     return None
                 tags_inside_ids = ids_from_bitmap(
-                    buffer[offset:offset + width], len(self.dictionary)
+                    buffer[offset:offset + width], universe
                 )
                 offset += width
-            elif self._mode is IndexMode.RECURSIVE:
-                if not self._stack:
-                    content_size, offset = decode_varint(buffer, offset)
-                    width = (len(self.dictionary) + 7) // 8
-                    if offset + width > size:
-                        return None
-                    tags_inside_ids = ids_from_bitmap(
-                        buffer[offset:offset + width], len(self.dictionary)
-                    )
-                    offset += width
-                else:
-                    parent = self._stack[-1]
-                    assert parent.content_size is not None
-                    assert parent.tags_inside is not None
-                    width = parent.child_width
-                    if width is None:
-                        width = width_for_bound(parent.content_size)
-                        parent.child_width = width
-                    if offset + width > size:
-                        return None
-                    if width == 1:
-                        content_size = buffer[offset]
-                        offset += 1
-                    else:
-                        content_size = int.from_bytes(
-                            buffer[offset:offset + width], "little"
-                        )
-                        offset += width
-                    if parent.support is None:
-                        parent.support = tuple(sorted(parent.tags_inside))
-                    tags_inside_ids, offset = decode_relative(
-                        buffer, offset, parent.tags_inside, parent.support
-                    )
         except ValueError:
             return None  # starved mid-token
         try:
-            tag = self.dictionary.name_of(tag_id)
+            tag = self._tag_names[tag_id]
         except IndexError as exc:
             raise SXSFormatError(f"unknown tag id {tag_id}") from exc
-        self._advance(offset - start)
-        content_start = self._base + self._pos
-        frame = _OpenFrame(tag, tags_inside_ids, content_size, content_start)
-        self._stack.append(frame)
-        tags_inside = (
-            self.dictionary.ids_to_names(tags_inside_ids)
-            if tags_inside_ids is not None
-            else None
-        )
-        resume = (
-            content_start + content_size
-            if content_size is not None
-            else None
-        )
+        self._pos = offset
         if attributes:
             open_event = OpenEvent(tag, tuple(attributes))
         else:
             open_event = self._plain_opens.get(tag)
             if open_event is None:
                 open_event = self._plain_opens[tag] = OpenEvent(tag)
-        return DecodedOpen(open_event, tags_inside, content_size, resume)
+        if content_size is None:
+            item = DecodedOpen(open_event, None, None, None)
+        else:
+            item = DecodedOpen(
+                open_event,
+                tags_inside_ids,
+                content_size,
+                self._base + offset + content_size,
+            )
+        stack.append(item)
+        return item
 
     # -- skipping ----------------------------------------------------------
 
@@ -397,24 +430,24 @@ class SXSDecoder:
         if not self._stack:
             raise RuntimeError("no open element to skip")
         frame = self._stack.pop()
-        if frame.content_size is None:
+        size = frame.content_size
+        if size is None:
             raise RuntimeError("stream carries no skip index")
-        if self._base + self._pos != frame.content_start:
+        resume = frame.resume_offset
+        assert resume is not None
+        if self._base + self._pos != resume - size:
             raise RuntimeError("content already consumed; too late to skip")
-        resume = frame.content_start + frame.content_size
-        buffered_end = self._base + len(self._buffer)
-        if resume <= buffered_end:
-            skipped = resume - (self._base + self._pos)
-            self._advance(skipped)
-            self.bytes_decoded -= skipped  # skipped bytes are not decoded
+        self._skipped += size
+        if resume <= self._base + len(self._buffer):
+            self._pos = resume - self._base
         else:
-            # Bytes in the buffer were never counted as decoded; just
-            # drop them and wait for the resume offset.
+            # Drop the buffered part of the region and wait for the
+            # resume offset.
             self._buffer.clear()
             self._pos = 0
             self._base = resume
             self._skip_target = resume
-        self._pending_close.append(frame.tag)
+        self._pending_close.append(frame.event.tag)
         if not self._stack:
             self._document_done = True
         return resume
@@ -424,13 +457,15 @@ class SXSDecoder:
         if not self._stack:
             raise RuntimeError("no open element")
         frame = self._stack[-1]
-        if frame.content_size is None or frame.tags_inside is None:
+        if frame.resume_offset is None or frame.tags_inside is None:
             raise RuntimeError("stream carries no skip index")
+        size = frame.content_size
+        assert size is not None
         return FrameSnapshot(
-            tag=frame.tag,
+            tag=frame.event.tag,
             tags_inside=frame.tags_inside,
-            content_size=frame.content_size,
-            content_start=frame.content_start,
+            content_size=size,
+            content_start=frame.resume_offset - size,
         )
 
     @classmethod
@@ -450,12 +485,16 @@ class SXSDecoder:
         region ends at the element's own close (``document_done``).
         """
         decoder = cls()
-        decoder._mode = mode
-        decoder.dictionary = dictionary
+        decoder._use_dictionary(dictionary, mode)
         decoder._stack.append(
-            _OpenFrame(tag, tags_inside_ids, content_size, content_start)
+            DecodedOpen(
+                OpenEvent(tag),
+                tags_inside_ids,
+                content_size,
+                content_start + content_size,
+            )
         )
-        decoder._base = content_start
+        decoder._base = decoder._origin = content_start
         decoder._skip_target = content_start  # trims pre-region chunk bytes
         return decoder
 

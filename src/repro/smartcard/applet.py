@@ -7,6 +7,13 @@ in charge of decrypting the input document, checking its integrity and
 evaluating the access control policy corresponding to a given
 (document, subject) pair" (Section 2.1).
 
+Each chunk is one pass of the card pump (:meth:`CardApplet._pump`):
+decode an item, feed it to the evaluator, charge it, repeat until the
+chunk is exhausted; the events the chunk released are serialized once,
+at its end.  The modeled charges keep the per-item cadence and are
+bit-identical to charging item by item (the ``_pump`` docstring says
+why).
+
 Skip decisions (Section 2.3) happen here: after each decoded ``open``
 the applet combines (a) the element's delivery status and (b) the
 reachability test of every automaton against the subtree's tag bitmap.
@@ -52,10 +59,13 @@ from repro.skipindex.decoder import (
 )
 from repro.smartcard.soe import SecureOperatingEnvironment
 from repro.xmlstream.events import Event
-from repro.xmlstream.writer import write_string
+from repro.xmlstream.writer import encoded_size, write_string
 
 #: Modeled RAM cost of the streaming decoder state per open level.
 DECODER_FRAME_BYTES = 8
+
+_DELIVER = _Record.DELIVER
+_PENDING = _Record.PENDING
 
 #: Secure-RAM tags charged by one evaluation: all of them are returned
 #: when the main pass ends, and again when the next session begins (a
@@ -170,7 +180,12 @@ class CardApplet:
         self._strategy = self.default_strategy
         self._keys: DocumentKeys | None = None
         self._header: DocumentHeader | None = None
-        self._rules = RuleSet()
+        #: The session's rule records, by rule id, in arrival order.  The
+        #: :class:`RuleSet` is built once, with the controller:
+        #: ``RuleSet.add`` fingerprints the whole set on every call (for
+        #: its fingerprint history), so adding record by record would
+        #: cost O(N^2) hashing.
+        self._rules: dict[str, AccessRule] = {}
         self._controller: AccessController | None = None
         self._decoder: SXSDecoder | None = None
         self._output = bytearray()
@@ -179,6 +194,8 @@ class CardApplet:
         self._refetch_decoder: SXSDecoder | None = None
         self._document_done = False
         self._decoder_charged = 0
+        #: Engine work charged so far, in cycles (see :meth:`_pump`).
+        self._engine_charged = 0
         # chunk-batch bookkeeping (PUT_CHUNK_BATCH)
         self._batch_consumed = 0
         self._batch_dropped = 0
@@ -187,7 +204,6 @@ class CardApplet:
         self.bytes_decrypted = 0
         self.bytes_skipped = 0
         self.output_bytes_total = 0
-        self._stats_snapshot = (0, 0, 0, 0)
 
     # -- session setup -----------------------------------------------------
 
@@ -254,15 +270,17 @@ class CardApplet:
         plaintext = open_blob(blob, label, version, self._keys)
         text = plaintext.decode("utf-8")
         sign_text, subject, xpath = text.split("|", 2)
-        rule = AccessRule.parse(
-            Sign(sign_text), subject, xpath, rule_id=f"{self._doc_id}:{index}"
+        rule_id = f"{self._doc_id}:{index}"
+        if rule_id in self._rules:
+            raise ValueError(f"duplicate rule id {rule_id!r}")
+        self._rules[rule_id] = AccessRule.parse(
+            Sign(sign_text), subject, xpath, rule_id=rule_id
         )
-        self._rules.add(rule)
 
     def _ensure_controller(self) -> AccessController:
         if self._controller is None:
             assert self._subject is not None
-            subject_rules = self._rules.for_subject(
+            subject_rules = RuleSet(self._rules.values()).for_subject(
                 Subject(self._subject, self._groups)
             )
             policy = self.registry.get(subject_rules)
@@ -354,81 +372,118 @@ class CardApplet:
             bytes_dropped=self._batch_dropped_bytes,
         )
 
-    def _charge_engine_work(self, controller: AccessController) -> None:
-        stats = controller.stats
-        events, checks, advances, conditions = self._stats_snapshot
-        per_event, per_check, per_advance, per_condition = self._engine_costs
-        self.soe.charge_cycles(
-            (stats.events - events) * per_event
-            + (stats.token_checks - checks) * per_check
-            + (stats.token_advances - advances) * per_advance
-            + (stats.conditions_created - conditions) * per_condition
-        )
-        self._stats_snapshot = (
-            stats.events,
-            stats.token_checks,
-            stats.token_advances,
-            stats.conditions_created,
-        )
-
-    def _emit(self, events: list[Event]) -> None:
-        if not events:
-            return
+    def _write_output(self, events: list[Event]) -> int:
+        """Serialize ``events`` into the output buffer; return the bytes."""
         text = write_string(events).encode("utf-8")
-        self.soe.charge_output(len(text))
         self.output_bytes_total += len(text)
         self._output.extend(text)
+        return len(text)
+
+    def _emit(self, events: list[Event]) -> None:
+        """Serialize and charge one batch of output events."""
+        if events:
+            self.soe.charge_output(self._write_output(events))
 
     def _pump(self, controller: AccessController, decoder: SXSDecoder) -> None:
-        """Drain every decodable item through the evaluator.
+        """Run every decodable item of the chunk through the evaluator.
 
-        Bound methods are hoisted out of the per-item loop; the
-        charge/emit cadence is exactly the seed's (one engine-work
-        charge per item), keeping clock totals bit-identical.
+        One pass per chunk.  Each item is decoded (``next_item``) and
+        evaluated (``feed``); an open may grow the decoder's modeled RAM
+        first and may be skipped after, using the delivery kind ``feed``
+        returned.  Events the item released stay in the controller's
+        output buffer, and the whole chunk's output is serialized by
+        one ``write_string`` call at the end.
+
+        The modeled charges keep the per-item cadence: the output bytes
+        the item released (sized exactly by :func:`encoded_size`), then
+        its engine work, then the chunk's decode bytes once after the
+        loop.  They are added to local copies of ``soe.cycles_used``
+        and the clock's ``card_cpu`` total and written back once, in a
+        ``finally`` -- so also when an item overflows the card's RAM
+        mid-chunk.  This is bit-identical to charging through
+        :meth:`SecureOperatingEnvironment.charge_cycles` item by item:
+        the same float additions happen to the same accumulator in the
+        same order, only the accumulator lives in a local meanwhile.
+        Nothing is pre-summed -- that would round differently.
         """
+        soe = self.soe
+        memory = soe.memory
+        clock = soe.clock
+        cost = soe.cost
+        hz = cost.cpu_hz
+        per_output_byte = cost.cycles_per_output_byte
+        per_event, per_check, per_advance, per_condition = self._engine_costs
+        stats = controller.stats
+        output = controller.output
         next_item = decoder.next_item
-        track = self._track_decoder_ram
         feed = controller.feed
-        emit = self._emit
-        charge = self._charge_engine_work
-        while (item := next_item()) is not None:
-            track(decoder.depth)
-            emit(feed(item.event))
-            if type(item) is DecodedOpen:
-                self._maybe_skip(controller, decoder, item)
-            charge(controller)
-        self.soe.charge_decode(decoder.bytes_decoded - self._decoder_charged)
-        self._decoder_charged = decoder.bytes_decoded
-
-    def _track_decoder_ram(self, depth: int) -> None:
-        needed = depth * DECODER_FRAME_BYTES
-        if needed > self._decoder_ram:
-            self.soe.memory.allocate("decoder", needed - self._decoder_ram)
-            self._decoder_ram = needed
-
-    def _maybe_skip(
-        self,
-        controller: AccessController,
-        decoder: SXSDecoder,
-        item: DecodedOpen,
-    ) -> None:
-        """Apply the skip rule of Section 2.3 to a freshly opened subtree."""
-        if item.resume_offset is None or item.tags_inside is None:
-            return  # stream carries no skip index
-        kind, _ = controller.current_status()
-        if kind == _Record.DELIVER:
-            return  # content must be transferred anyway
-        if kind == _Record.PENDING and self._strategy is not PendingStrategy.REFETCH:
-            return
-        if not controller.subtree_is_irrelevant(item.tags_inside):
-            return
+        subtree_is_irrelevant = controller.subtree_is_irrelevant
+        refetch = self._strategy is PendingStrategy.REFETCH
+        cycles = soe.cycles_used
+        cpu = clock.component("card_cpu")
+        engine_charged = self._engine_charged
+        decoder_ram = self._decoder_ram
+        charged_events = 0  # events of ``output`` already charged
         try:
-            snapshot = decoder.snapshot_top_frame()
-        except RuntimeError:
-            return
-        if kind == _Record.PENDING:
-            auth, query = controller.current_decision_nodes()
-            entry = RefetchRequest(
+            while (item := next_item()) is not None:
+                opened = type(item) is DecodedOpen
+                if opened:
+                    needed = decoder.depth * DECODER_FRAME_BYTES
+                    if needed > decoder_ram:
+                        memory.allocate("decoder", needed - decoder_ram)
+                        decoder_ram = needed
+                kind = feed(item.event)
+                if len(output) != charged_events:
+                    work = encoded_size(output, charged_events) * per_output_byte
+                    cycles += work
+                    cpu += work / hz
+                    charged_events = len(output)
+                if (
+                    opened
+                    and kind is not _DELIVER
+                    and item.tags_inside is not None
+                    and (refetch or kind is not _PENDING)
+                    and subtree_is_irrelevant(item.tags_inside, decoder.dictionary)
+                ):
+                    # Skip rule of Section 2.3: nothing inside can be
+                    # delivered and no automaton or predicate needs it.
+                    if kind is _PENDING:
+                        self._record_refetch(controller, decoder)
+                    decoder.skip_open_subtree()
+                    self.bytes_skipped += item.content_size
+                work = (
+                    stats.events * per_event
+                    + stats.token_checks * per_check
+                    + stats.token_advances * per_advance
+                    + stats.conditions_created * per_condition
+                    - engine_charged
+                )
+                cycles += work
+                cpu += work / hz
+                engine_charged += work
+            work = (
+                decoder.bytes_decoded - self._decoder_charged
+            ) * cost.cycles_decode_per_byte
+            cycles += work
+            cpu += work / hz
+            self._decoder_charged = decoder.bytes_decoded
+        finally:
+            soe.cycles_used = cycles
+            clock.advance_to("card_cpu", cpu)
+            self._engine_charged = engine_charged
+            self._decoder_ram = decoder_ram
+            if charged_events:
+                self._write_output(output[:charged_events])
+                del output[:charged_events]
+
+    def _record_refetch(
+        self, controller: AccessController, decoder: SXSDecoder
+    ) -> None:
+        """Remember a pending subtree skipped under REFETCH."""
+        snapshot = decoder.snapshot_top_frame()
+        auth, query = controller.current_decision_nodes()
+        self._refetches.append(
+            RefetchRequest(
                 entry_id=len(self._refetches),
                 start=snapshot.content_start,
                 end=snapshot.content_start + snapshot.content_size,
@@ -438,9 +493,7 @@ class CardApplet:
                 auth=auth,
                 query=query,
             )
-            self._refetches.append(entry)
-        resume = decoder.skip_open_subtree()
-        self.bytes_skipped += resume - snapshot.content_start
+        )
 
     def end_document(self) -> list[RefetchRequest]:
         """Finish the main pass; return the refetches resolved to PERMIT."""

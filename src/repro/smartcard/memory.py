@@ -48,26 +48,27 @@ class MemoryMeter:
         """Charge ``nbytes`` against the quota."""
         if nbytes < 0:
             raise ValueError("allocation size must be non-negative")
-        if (
-            self.quota is not None
-            and self._total + nbytes > self.quota
-        ):
+        total = self._total + nbytes
+        quota = self.quota
+        if quota is not None and total > quota:
             self.overflowed = True
             if self.strict:
-                raise CardMemoryError(nbytes, self._total, self.quota)
-        self._usage[tag] = self._usage.get(tag, 0) + nbytes
-        self._total += nbytes
-        if self._total > self.high_water:
-            self.high_water = self._total
+                raise CardMemoryError(nbytes, self._total, quota)
+        usage = self._usage
+        usage[tag] = usage.get(tag, 0) + nbytes
+        self._total = total
+        if total > self.high_water:
+            self.high_water = total
 
     def release(self, tag: str, nbytes: int) -> None:
         """Return ``nbytes`` to the pool."""
-        held = self._usage.get(tag, 0)
+        usage = self._usage
+        held = usage.get(tag, 0)
         if nbytes > held:
             raise ValueError(
                 f"releasing {nbytes} bytes from {tag!r} which holds {held}"
             )
-        self._usage[tag] = held - nbytes
+        usage[tag] = held - nbytes
         self._total -= nbytes
 
     def release_all(self, tag: str) -> None:

@@ -82,6 +82,19 @@ class SimClock:
     def component(self, name: str) -> float:
         return self._seconds.get(name, 0.0)
 
+    def advance_to(self, component: str, seconds: float) -> None:
+        """Set a component's running total to ``seconds``.
+
+        For hot loops that read :meth:`component`, add to a local
+        float and write it back: the same additions in the same order
+        give the same float as calling :meth:`add` once per charge.
+        """
+        current = self._seconds.get(component, 0.0)
+        if seconds < current:
+            raise ValueError("time cannot run backwards")
+        if seconds != current:
+            self._seconds[component] = seconds
+
     def total(self) -> float:
         return sum(self._seconds.values())
 

@@ -7,7 +7,7 @@ test suite: ``parse(write(events)) == events``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.xmlstream.escape import escape_attribute, escape_text
 from repro.xmlstream.events import CloseEvent, Event, OpenEvent, ValueEvent
@@ -125,3 +125,29 @@ def write_string(events: Iterable[Event], *, indent: str | None = None) -> str:
         else:
             append("".join(_write_compact((event,))))
     return "".join(parts)
+
+
+def encoded_size(events: Sequence[Event], start: int = 0) -> int:
+    """UTF-8 byte length of ``write_string(events[start:])``, unbuilt.
+
+    UTF-8 encodes the compact form fragment by fragment, so the sizes
+    of consecutive event runs add up to the size of their joint text:
+    the card charges each released run by its exact byte count and
+    still serializes the whole chunk's output in one call.
+    """
+    size = 0
+    for index in range(start, len(events)):
+        event = events[index]
+        cls = type(event)
+        if cls is CloseEvent:
+            tag = event.tag
+            size += (len(tag) if tag.isascii() else len(tag.encode("utf-8"))) + 3
+        elif cls is ValueEvent:
+            text = escape_text(event.text)
+            size += len(text) if text.isascii() else len(text.encode("utf-8"))
+        elif cls is OpenEvent and not event.attributes:
+            tag = event.tag
+            size += (len(tag) if tag.isascii() else len(tag.encode("utf-8"))) + 2
+        else:
+            size += len(write_string((event,)).encode("utf-8"))
+    return size

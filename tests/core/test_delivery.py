@@ -16,21 +16,27 @@ def _controller(rule_defs, query=None, mode=ViewMode.SKELETON):
     return AccessController(rules, "u", query=query, mode=mode)
 
 
+def _released(controller, event):
+    """Feed one event; return the output it released."""
+    controller.feed(event)
+    return controller.take()
+
+
 def test_streaming_emits_before_document_end():
     """Delivered content must not wait for the root to close."""
     controller = _controller([("+", "/r")])
-    out = controller.feed(OpenEvent("r"))
+    out = _released(controller, OpenEvent("r"))
     assert out == [OpenEvent("r")]
-    out = controller.feed(ValueEvent("x"))
+    out = _released(controller, ValueEvent("x"))
     assert out == [ValueEvent("x")]
 
 
 def test_skeleton_ancestors_stream_too():
     """A denied ancestor's skeleton appears as soon as content flows."""
     controller = _controller([("+", "//leaf")])
-    assert controller.feed(OpenEvent("root")) == []
-    assert controller.feed(OpenEvent("mid")) == []
-    out = controller.feed(OpenEvent("leaf"))
+    assert _released(controller, OpenEvent("root")) == []
+    assert _released(controller, OpenEvent("mid")) == []
+    out = _released(controller, OpenEvent("leaf"))
     assert out == [OpenEvent("root"), OpenEvent("mid"), OpenEvent("leaf")]
 
 
@@ -38,7 +44,7 @@ def test_denied_subtree_with_no_content_vanishes():
     controller = _controller([("+", "//x")])
     output = []
     for event in parse_string("<r><a><b/></a><x/></r>"):
-        output.extend(controller.feed(event))
+        output.extend(_released(controller, event))
     output.extend(controller.finish())
     assert write_string(output) == "<r><x></x></r>"
 
@@ -47,7 +53,7 @@ def test_attributes_only_on_delivered_elements():
     controller = _controller([("+", "//b")])
     output = []
     for event in parse_string('<r id="secret"><b id="mine"/></r>'):
-        output.extend(controller.feed(event))
+        output.extend(_released(controller, event))
     output.extend(controller.finish())
     assert write_string(output) == '<r><b id="mine"></b></r>'
 
@@ -56,7 +62,7 @@ def test_text_of_denied_skeleton_dropped():
     controller = _controller([("+", "//b")])
     output = []
     for event in parse_string("<r>secret<b>ok</b>more</r>"):
-        output.extend(controller.feed(event))
+        output.extend(_released(controller, event))
     output.extend(controller.finish())
     assert write_string(output) == "<r><b>ok</b></r>"
 
@@ -68,7 +74,7 @@ def test_pending_blocks_following_output_until_resolution():
     collected = []
     release_points = []
     for index, event in enumerate(events):
-        out = controller.feed(event)
+        out = _released(controller, event)
         collected.extend(out)
         if out:
             release_points.append(index)
@@ -83,7 +89,7 @@ def test_prune_mode_reparents():
     controller = _controller([("+", "//leaf")], mode=ViewMode.PRUNE)
     output = []
     for event in parse_string("<r><mid><leaf>x</leaf></mid></r>"):
-        output.extend(controller.feed(event))
+        output.extend(_released(controller, event))
     output.extend(controller.finish())
     assert write_string(output) == "<leaf>x</leaf>"
 
@@ -92,7 +98,7 @@ def test_query_restricts_delivery():
     controller = _controller([("+", "/r")], query="//b")
     output = []
     for event in parse_string("<r><a>no</a><b>yes</b></r>"):
-        output.extend(controller.feed(event))
+        output.extend(_released(controller, event))
     output.extend(controller.finish())
     assert write_string(output) == "<r><b>yes</b></r>"
 
@@ -101,7 +107,7 @@ def test_query_with_no_matches_yields_empty():
     controller = _controller([("+", "/r")], query="//zzz")
     output = []
     for event in parse_string("<r><a>no</a></r>"):
-        output.extend(controller.feed(event))
+        output.extend(_released(controller, event))
     output.extend(controller.finish())
     assert output == []
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core import AccessRule, RuleSet, authorized_view
 from repro.core.pipeline import AccessController, stream_authorized_view
 from repro.core.delivery import _Record
+from repro.skipindex.tagdict import TagDictionary
 from repro.xmlstream.parser import parse_string
 from repro.xmlstream.writer import write_string
 
@@ -48,9 +49,10 @@ def test_current_status_reports_innermost():
 def test_subtree_is_irrelevant_combines_evaluators():
     controller = AccessController(RULES, "u", query="//wanted")
     controller.feed(parse_string("<r></r>")[0])
+    tags = TagDictionary(["r", "wanted", "other"])
     # The query could still complete on a 'wanted' inside.
-    assert not controller.subtree_is_irrelevant(frozenset({"wanted"}))
-    assert controller.subtree_is_irrelevant(frozenset({"other"}))
+    assert not controller.subtree_is_irrelevant(frozenset({1}), tags)
+    assert controller.subtree_is_irrelevant(frozenset({2}), tags)
 
 
 def test_text_outside_root_rejected():

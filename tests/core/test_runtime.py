@@ -5,6 +5,7 @@ import pytest
 from repro.core.conditions import Tristate
 from repro.core.nfa import compile_path
 from repro.core.runtime import TokenEngine
+from repro.skipindex.tagdict import TagDictionary
 from repro.xmlstream.parser import parse_string
 from repro.xmlstream.events import OpenEvent, ValueEvent
 from repro.xpathlib.parser import parse_path
@@ -152,16 +153,17 @@ def test_can_complete_inside_uses_labels():
     engine = TokenEngine()
     engine.add_automaton(compile_path(parse_path("//x/y")), _Collector())
     engine.open("r")
-    assert engine.can_complete_inside(frozenset({"x", "y"}))
-    assert not engine.can_complete_inside(frozenset({"x"}))
-    assert not engine.can_complete_inside(frozenset())
+    tags = TagDictionary(["r", "x", "y"])
+    assert engine.can_complete_inside(frozenset({1, 2}), tags)
+    assert not engine.can_complete_inside(frozenset({1}), tags)
+    assert not engine.can_complete_inside(frozenset(), tags)
 
 
 def test_can_complete_inside_wildcard_never_filtered():
     engine = TokenEngine()
     engine.add_automaton(compile_path(parse_path("//*")), _Collector())
     engine.open("r")
-    assert engine.can_complete_inside(frozenset())
+    assert engine.can_complete_inside(frozenset(), TagDictionary(["r"]))
 
 
 def test_watchers_block_skipping():

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.bench.harness import PullSetup, run_pull_session
 from repro.core.reference import reference_view
 from repro.skipindex.encoder import IndexMode
+from repro.smartcard.applet import PendingStrategy
+from repro.terminal.transfer import TransferPolicy
 from repro.xmlstream.tree import tree_to_events
 from repro.xmlstream.writer import write_string
 
@@ -59,15 +61,48 @@ def test_skip_index_never_changes_output(root, rules):
 
 
 @_SETTINGS
-@given(root=elements(), rules=rule_sets(), chunk=st.sampled_from([16, 48, 96, 256]))
-def test_chunk_size_never_changes_output(root, rules, chunk):
-    """Chunking granularity is invisible in the delivered view."""
+@given(
+    root=elements(),
+    rules=rule_sets(),
+    chunk=st.sampled_from([8, 16, 24, 40, 48, 96, 256]),
+    windowed=st.booleans(),
+    strategy=st.sampled_from([PendingStrategy.BUFFER, PendingStrategy.REFETCH]),
+)
+def test_chunk_size_never_changes_output(root, rules, chunk, windowed, strategy):
+    """Chunking granularity is invisible in the delivered view.
+
+    The card runs one pump pass per chunk, so the small sizes (8, 24,
+    40) split tokens mid-field and the pass must resume a straddling
+    token in the next chunk; ``windowed(8)`` puts several chunks in one
+    APDU batch.  A BUFFER view must equal the oracle; a REFETCH view
+    and its fragments must equal a single-chunk pull's.
+    """
     events = list(tree_to_events(root))
+    transfer = TransferPolicy.windowed(8) if windowed else None
     small = run_pull_session(
-        PullSetup(events=events, rules=rules, subject="u", chunk_size=chunk)
+        PullSetup(
+            events=events,
+            rules=rules,
+            subject="u",
+            chunk_size=chunk,
+            strategy=strategy,
+            transfer=transfer,
+        )
     )
-    expected = write_string(reference_view(root, rules, "u"))
-    assert small.xml == expected
+    if strategy is PendingStrategy.BUFFER:
+        assert small.xml == write_string(reference_view(root, rules, "u"))
+    else:
+        whole = run_pull_session(
+            PullSetup(
+                events=events,
+                rules=rules,
+                subject="u",
+                chunk_size=1 << 16,
+                strategy=strategy,
+            )
+        )
+        assert small.xml == whole.xml
+        assert small.fragments == whole.fragments
 
 
 @_SETTINGS

@@ -56,3 +56,27 @@ def test_session_metrics_as_dict():
     assert flat["bytes_decrypted"] == 100
     assert flat["time_link"] == 2.0
     assert flat["time_total"] == 2.0
+
+
+def test_advance_to_is_adding_the_same_charges_in_order():
+    charges = [1 / 3, 2e-7, 0.1, 7 / 11, 3e-9]
+    one_by_one = SimClock()
+    one_by_one.add("card_cpu", 0.5)
+    for seconds in charges:
+        one_by_one.add("card_cpu", seconds)
+    local = SimClock()
+    local.add("card_cpu", 0.5)
+    running = local.component("card_cpu")
+    for seconds in charges:
+        running += seconds
+    local.advance_to("card_cpu", running)
+    assert local.component("card_cpu").hex() == one_by_one.component("card_cpu").hex()
+
+
+def test_advance_to_rejects_going_back_and_adds_no_empty_component():
+    clock = SimClock()
+    clock.add("cpu", 1.0)
+    with pytest.raises(ValueError):
+        clock.advance_to("cpu", 0.5)
+    clock.advance_to("link", 0.0)
+    assert set(clock.breakdown()) == {"cpu"}

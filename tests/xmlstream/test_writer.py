@@ -2,7 +2,7 @@
 
 from repro.xmlstream.events import CloseEvent, OpenEvent, ValueEvent
 from repro.xmlstream.parser import parse_string
-from repro.xmlstream.writer import write_string
+from repro.xmlstream.writer import encoded_size, write_string
 
 
 def test_compact_output():
@@ -54,3 +54,19 @@ def test_pretty_printing_round_trips():
     ]
     pretty = write_string(events, indent="  ")
     assert parse_string(pretty) == events
+
+
+def test_encoded_size_is_the_serialized_byte_count():
+    events = [
+        OpenEvent("r"),
+        OpenEvent("a", (("k", 'v"<&'),)),
+        ValueEvent("x < y & z > w"),
+        CloseEvent("a"),
+        OpenEvent("café"),
+        ValueEvent("naïve — ünïcode"),
+        CloseEvent("café"),
+        CloseEvent("r"),
+    ]
+    for start in range(len(events) + 1):
+        expected = len(write_string(events[start:]).encode("utf-8"))
+        assert encoded_size(events, start) == expected
