@@ -14,8 +14,8 @@ Two sharing effects make wide audiences cheap here:
   ``compile_path`` calls over a 1-subscriber one;
 * :meth:`Channel.preview` computes every subscriber's authorized view
   in ONE shared evaluation pass over the plaintext
-  (:func:`~repro.core.multicast.multicast_view_texts` via the stream
-  publisher), the head-end amortization of the dissemination paper.
+  (:func:`~repro.core.multicast.multicast_view_texts`), the head-end
+  amortization of the dissemination paper.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.delivery import ViewMode
+from repro.core.multicast import multicast_view_texts
 from repro.core.rules import Sign, Subject
 from repro.dissemination.carousel import LateJoiningSubscriber
 from repro.dissemination.channel import BroadcastChannel
-from repro.dissemination.publisher import StreamPublisher
 from repro.dissemination.subscriber import Subscriber
 from repro.errors import PolicyError
 from repro.smartcard.resources import SessionMetrics
@@ -80,18 +80,14 @@ class Channel:
 
     Owned by the community (``community.channel(doc)`` always returns
     the same handle for the same document); the underlying unsecured
-    :class:`BroadcastChannel` and head-end
-    :class:`StreamPublisher` stay reachable as ``broadcast_channel``
-    and ``publisher`` for tamper injection and bandwidth accounting.
+    :class:`BroadcastChannel` stays reachable as ``broadcast_channel``
+    for tamper injection and bandwidth accounting.
     """
 
     def __init__(self, community: "Community", document: "Document") -> None:
         self.community = community
         self.document = document
         self.broadcast_channel = BroadcastChannel(clock=community.clock)
-        self.publisher = StreamPublisher(
-            self.broadcast_channel, registry=community.registry
-        )
         self._handles: list[SubscriberHandle] = []
         self.cycles_sent = 0
 
@@ -166,7 +162,7 @@ class Channel:
             raise PolicyError("a broadcast needs at least one cycle")
         container = self.document.container
         for __ in range(cycles):
-            self.publisher.broadcast_document(container)
+            self.broadcast_channel.broadcast_document(container)
             self.cycles_sent += 1
 
     def preview(
@@ -193,12 +189,13 @@ class Channel:
             Subject(handle.member.name, handle.subscriber.groups)
             for handle in self._handles
         ]
-        return self.publisher.preview_views(
+        return multicast_view_texts(
             events,
             rules,
             subjects,
             default=Sign.DENY,
             mode=mode,
+            registry=self.community.registry,
         )
 
     def set_tamper(

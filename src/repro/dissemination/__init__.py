@@ -11,18 +11,21 @@ own access rules.  There is no backchannel, so skipping cannot save
 *broadcast* bandwidth -- but a subscriber's terminal still drops the
 chunks its card does not need, saving the card link and decryption
 time, which is what makes real-time rates reachable (E7).
+
+:class:`BroadcastChannel` carries the frames (one carousel cycle per
+:meth:`~BroadcastChannel.broadcast_document`); each :class:`Subscriber`
+drives its card through the same
+:class:`~repro.terminal.proxy.CardProxy` a pull uses.  The head-end's
+one-pass preview of every subscriber's view is
+:func:`~repro.core.multicast.multicast_view_texts`.
 """
 
-from repro.dissemination.carousel import BroadcastCarousel, LateJoiningSubscriber
+from repro.dissemination.carousel import LateJoiningSubscriber
 from repro.dissemination.channel import BroadcastChannel
-from repro.dissemination.publisher import StreamPublisher, preview_subscriber_views
 from repro.dissemination.subscriber import Subscriber
 
 __all__ = [
-    "BroadcastCarousel",
     "BroadcastChannel",
     "LateJoiningSubscriber",
-    "StreamPublisher",
     "Subscriber",
-    "preview_subscriber_views",
 ]

@@ -1,4 +1,4 @@
-"""Broadcast carousel: cyclic re-transmission for late joiners.
+"""Late joining a broadcast carousel.
 
 Classic data-dissemination systems repeat the stream in cycles so that
 receivers may tune in at any moment.  Our chunks are independently
@@ -6,7 +6,9 @@ decryptable and positionally authenticated, which makes the carousel
 almost free: a subscriber who joins mid-cycle simply waits for the
 next ``header`` frame and starts there -- no state from the missed
 cycle is needed, and the skip index keeps working because chunk
-offsets are absolute.
+offsets are absolute.  A carousel cycle is one
+:meth:`~repro.dissemination.channel.BroadcastChannel.broadcast_document`
+call; ``Channel.broadcast(cycles=...)`` repeats it.
 
 The carousel also demonstrates a subtle interaction with replay
 protection: repeated cycles of the *same* version are accepted (the
@@ -16,27 +18,7 @@ injecting an older version's frames between cycles is still rejected.
 
 from __future__ import annotations
 
-from repro.crypto.container import DocumentContainer
-from repro.dissemination.channel import BroadcastChannel
-from repro.dissemination.publisher import StreamPublisher
 from repro.dissemination.subscriber import Subscriber
-
-
-class BroadcastCarousel:
-    """Repeats a container over a channel for a number of cycles."""
-
-    def __init__(self, channel: BroadcastChannel) -> None:
-        self.channel = channel
-        self._publisher = StreamPublisher(channel)
-        self.cycles_sent = 0
-
-    def run(self, container: DocumentContainer, cycles: int = 2) -> None:
-        """Broadcast ``cycles`` complete repetitions of the document."""
-        if cycles < 1:
-            raise ValueError("at least one cycle")
-        for __ in range(cycles):
-            self._publisher.broadcast_document(container)
-            self.cycles_sent += 1
 
 
 class LateJoiningSubscriber:
@@ -62,11 +44,6 @@ class LateJoiningSubscriber:
                 self.frames_missed += 1
                 return
             self.joined = True
-        if kind == "end" and not self.subscriber.state.document_done:
-            # Mid-join: the end of a cycle we started cleanly belongs
-            # to us; the end of the partial first cycle never reaches
-            # here because joining waits for a header.
-            pass
         self.subscriber.on_frame(kind, index, payload)
 
     @property

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.crypto.container import DocumentContainer
+from repro.smartcard.card import encode_header
 from repro.smartcard.resources import SimClock
 
 
@@ -46,3 +48,10 @@ class BroadcastChannel:
             payload = self._tamper(kind, index, payload)
         for listener in self._listeners:
             listener(kind, index, payload)
+
+    def broadcast_document(self, container: DocumentContainer) -> None:
+        """Send one carousel cycle: the header, every chunk, the end."""
+        self.broadcast("header", 0, encode_header(container.header))
+        for index, blob in enumerate(container.chunks):
+            self.broadcast("chunk", index, blob)
+        self.broadcast("end", 0, b"")

@@ -1,10 +1,13 @@
 """Subscriber side of the push scenario.
 
-Each subscriber owns a card with its own rules; the terminal-side
-shim decides, per broadcast chunk, whether the card still needs it --
-if the card's skip directive already jumped past the chunk, it is
-dropped *before* the 2 KB/s card link, which is where the skip index
-pays off in push mode.
+Each subscriber owns a card with its own rules and drives it through a
+:class:`~repro.terminal.proxy.CardProxy` -- the same session driver a
+pull uses, with no DSP behind it.  What is specific to push lives
+here: reacting to broadcast frames, dropping every chunk the card's
+skip directive already jumped past *before* the 2 KB/s card link
+(which is where the skip index pays off in push mode), batching up to
+``apdu_batch`` frames per exchange, and recording a card refusal
+instead of raising it through the publisher's broadcast loop.
 
 There is no backchannel, so pending subtrees must use the BUFFER
 strategy (REFETCH would require asking the publisher to re-send).
@@ -12,21 +15,15 @@ strategy (REFETCH would require asking the publisher to re-send).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 from repro.core.compiled import PolicyRegistry
 from repro.core.delivery import ViewMode
-from repro.errors import ResourceExhausted, TamperDetected, TransportError
-from repro.smartcard.apdu import (
-    CommandAPDU,
-    Instruction,
-    ResponseAPDU,
-    StatusWord,
-    transmit_chunk_batch,
-)
-from repro.smartcard.card import SmartCard, decode_header, encode_groups
+from repro.errors import ReproError, TransportError
+from repro.smartcard.applet import PendingStrategy
+from repro.smartcard.card import SmartCard, decode_header
 from repro.smartcard.resources import LinkModel, SessionMetrics, SimClock
+from repro.terminal.proxy import CardProxy, ProxyError
 from repro.terminal.transfer import TransferPolicy
 
 
@@ -36,9 +33,21 @@ class SubscriberState:
 
     next_needed_offset: int = 0
     document_done: bool = False
-    failed: str | None = None
-    failed_sw: int | None = None
+    #: Why the session failed: the card's refusal as the
+    #: :class:`~repro.terminal.proxy.ProxyError` subclass matching its
+    #: status word, or a :class:`TransportError` for a truncated stream.
+    error: ReproError | None = None
     output: bytearray = field(default_factory=bytearray)
+
+    @property
+    def failed(self) -> str | None:
+        return None if self.error is None else str(self.error)
+
+    @property
+    def failed_sw(self) -> int | None:
+        """The card's status word, when the card refused."""
+        error = self.error
+        return error.status if isinstance(error, ProxyError) else None
 
 
 class Subscriber:
@@ -70,101 +79,73 @@ class Subscriber:
             # rules, and carousel cycles repeat the same session, so
             # the automata are compiled once for the whole fleet.
             card.use_registry(registry)
-        self.link = link or LinkModel()
-        self.clock = clock or SimClock()
-        self.metrics = SessionMetrics()
-        self.metrics.clock = self.clock
-        self._rules_version = rules_version
-        self._rule_records = rule_records
-        self._view_mode = view_mode
         #: There is no DSP in push mode, so only the APDU half of the
         #: policy applies: up to ``apdu_batch`` broadcast chunks ride
         #: one PUT_CHUNK_BATCH exchange (one resume offset, one drain).
-        self.transfer = transfer or TransferPolicy()
+        self.proxy = CardProxy(
+            card,
+            link=link,
+            clock=clock or SimClock(),
+            transfer=transfer,
+            link_component=f"link:{name}",
+        )
+        self.clock = self.proxy.clock
+        self.transfer = self.proxy.transfer
+        self.metrics = SessionMetrics()
+        self._rules_version = rules_version
+        self._rule_records = rule_records
+        self._view_mode = view_mode
         self.state = SubscriberState()
         self._chunk_size = 0
         self._ended = False
         self._pending_batch: list[tuple[int, bytes]] = []
-
-    # -- card link ------------------------------------------------------------
-
-    def _transmit(self, command: CommandAPDU) -> ResponseAPDU:
-        response = self.card.process(command)
-        nbytes = command.wire_size + response.wire_size
-        self.metrics.apdu_count += 1
-        self.metrics.bytes_to_card += command.wire_size
-        self.metrics.bytes_from_card += response.wire_size
-        self.clock.add(f"link:{self.name}", self.link.apdu_overhead_seconds)
-        self.clock.add(f"link:{self.name}", self.link.transfer_seconds(nbytes))
-        return response
-
-    def _drain(self, last: ResponseAPDU) -> None:
-        response = last
-        while (response.sw & 0xFF00) == 0x6100:
-            response = self._transmit(CommandAPDU(Instruction.GET_OUTPUT))
-            self.state.output.extend(response.data)
-            self.metrics.output_bytes += len(response.data)
+        #: Taken at the session's header; the clock snapshot is dropped
+        #: once the session's metrics are closed.
+        self._clock_snapshot: dict[str, float] = {}
+        self._cycles_snapshot = 0.0
 
     # -- broadcast listener -------------------------------------------------------
 
     def on_frame(self, kind: str, index: int, payload: bytes) -> None:
         """Channel callback; drops frames the card no longer needs."""
-        if self.state.failed is not None:
+        if self.state.error is not None:
             return
         if self.state.document_done and self._ended:
             # A completed session ignores further carousel cycles.
             return
-        if kind == "header":
-            self._on_header(payload)
-        elif kind == "chunk":
-            self._on_chunk(index, payload)
-        elif kind == "end":
-            self._on_end()
-
-    def _fail(self, context: str, response: ResponseAPDU) -> None:
-        self.state.failed = f"{context}: {response.sw:#06x}"
-        self.state.failed_sw = response.sw
+        try:
+            if kind == "header":
+                self._on_header(payload)
+            elif kind == "chunk":
+                self._on_chunk(index, payload)
+            elif kind == "end":
+                self._on_end()
+        except ProxyError as exc:
+            # No exception channel runs back across a broadcast: the
+            # refusal is recorded and raised again by require_ok().
+            self.state.error = exc
 
     def _on_header(self, payload: bytes) -> None:
         header = decode_header(payload)
         self._chunk_size = header.chunk_size
-        response = self._transmit(
-            CommandAPDU(Instruction.SELECT, data=b"repro.applet")
+        self._clock_snapshot = self.clock.snapshot()
+        self._cycles_snapshot = self.card.soe.cycles_used
+        proxy, metrics = self.proxy, self.metrics
+        proxy.select(metrics)
+        proxy._begin(
+            header.doc_id,
+            self.name,
+            None,
+            PendingStrategy.BUFFER,
+            self._view_mode,
+            self.groups,
+            metrics,
         )
-        doc = header.doc_id.encode("utf-8")
-        subject = self.name.encode("utf-8")
-        begin = bytes([0, len(doc)]) + doc + bytes([len(subject)]) + subject
-        begin += encode_groups(self.groups)
-        if self._view_mode is ViewMode.PRUNE:
-            begin = bytes([0x04]) + begin[1:]
-        response = self._transmit(
-            CommandAPDU(Instruction.BEGIN_SESSION, data=begin)
-        )
-        if not response.ok:
-            self._fail("begin", response)
-            return
-        response = self._transmit(
-            CommandAPDU(Instruction.PUT_HEADER, data=payload)
-        )
-        if not response.ok:
-            self._fail("header", response)
-            return
-        for rule_index, record in enumerate(self._rule_records):
-            data = struct.pack(">Q", self._rules_version) + record
-            response = self._transmit(
-                CommandAPDU(
-                    Instruction.PUT_RULES,
-                    p1=rule_index >> 8,
-                    p2=rule_index & 0xFF,
-                    data=data,
-                )
-            )
-            if not response.ok:
-                self._fail(f"rule {rule_index}", response)
-                return
+        proxy._put_header(payload, metrics)
+        proxy._send_rules(self._rules_version, self._rule_records, metrics)
 
     def _on_chunk(self, index: int, payload: bytes) -> None:
-        if self.state.failed or self.state.document_done:
+        if self.state.document_done:
             return
         chunk_end = (index + 1) * self._chunk_size
         if chunk_end <= self.state.next_needed_offset:
@@ -174,79 +155,35 @@ class Subscriber:
             # not rule out are dropped undecrypted on the card instead.)
             self.metrics.chunks_skipped += 1
             return
-        if self.transfer.apdu_batch == 1:
-            self.metrics.chunks_sent += 1
-            response = self._transmit(
-                CommandAPDU(
-                    Instruction.PUT_CHUNK,
-                    p1=index >> 8,
-                    p2=index & 0xFF,
-                    data=payload,
-                )
-            )
-            if not response.ok:
-                self._fail(f"chunk {index}", response)
-                return
-            next_offset, done = struct.unpack(">QB", response.data[:9])
-            self.state.next_needed_offset = next_offset
-            self._drain(response)
-            if done:
-                self.state.document_done = True
-            return
         self._pending_batch.append((index, payload))
         if len(self._pending_batch) >= self.transfer.apdu_batch:
             self._flush_batch()
 
     def _flush_batch(self) -> None:
         """Push the accumulated frames through one batch exchange."""
-        if not self._pending_batch or self.state.failed:
-            self._pending_batch.clear()
+        batch, self._pending_batch = self._pending_batch, []
+        if not batch:
             return
-        batch = self._pending_batch
-        self._pending_batch = []
-        first, last = batch[0][0], batch[-1][0]
-        outcome = transmit_chunk_batch(
-            self._transmit, batch, self.link.max_command_payload
+        outcome = self.proxy._transmit_batch(
+            batch, self.metrics, self.transfer, self.state.output
         )
-        if not outcome.completed:
-            self._fail(f"chunk batch {first}..{last}", outcome.response)
-            return
-        self.metrics.chunks_sent += len(batch) - outcome.dropped
-        self.metrics.chunks_wasted += outcome.dropped
-        self.metrics.bytes_wasted += outcome.dropped_bytes
         self.state.next_needed_offset = outcome.next_offset
-        self.state.output.extend(outcome.piggyback)
-        self.metrics.output_bytes += len(outcome.piggyback)
-        self._drain(outcome.response)
         if outcome.done:
             self.state.document_done = True
 
     def _on_end(self) -> None:
-        if self.state.failed:
-            return
         self._flush_batch()
-        if self.state.failed:
-            # Keep the flush's specific card-error diagnostic rather
-            # than misreporting it as a truncated broadcast.
-            return
         if not self.state.document_done:
-            self.state.failed = "stream ended before document completed"
+            self.state.error = TransportError(
+                "stream ended before document completed", subject=self.name
+            )
             return
-        response = self._transmit(CommandAPDU(Instruction.END_DOCUMENT))
-        if not response.ok:
-            self._fail("end", response)
-            return
-        self._drain(response)
+        self.proxy._end_document(self.metrics, self.state.output)
         self._ended = True
-        self._finalize_metrics()
-
-    def _finalize_metrics(self) -> None:
-        soe = self.card.soe
-        self.metrics.ram_high_water = soe.memory.high_water
-        self.metrics.card_cycles = soe.cycles_used
-        self.metrics.bytes_decrypted = self.card.applet.bytes_decrypted
-        self.metrics.bytes_skipped = self.card.applet.bytes_skipped
-        self.metrics.max_pending_bytes = self.card.applet.max_pending_bytes
+        self.proxy._fill_card_stats(
+            self.metrics, self._clock_snapshot, self._cycles_snapshot
+        )
+        self._clock_snapshot = {}
 
     # -- results --------------------------------------------------------------------
 
@@ -257,22 +194,20 @@ class Subscriber:
 
     @property
     def ok(self) -> bool:
-        return self.state.failed is None and self.state.document_done
+        return self.state.error is None and self.state.document_done
 
     def require_ok(self) -> None:
         """Raise the typed error behind a failed or truncated session.
 
-        Push mode reports card refusals as recorded status words (there
-        is no exception channel across a broadcast); this converts the
-        record into the :mod:`repro.errors` taxonomy for callers that
+        Push mode records card refusals (there is no exception channel
+        across a broadcast); this raises the recorded error -- the same
+        :mod:`repro.errors` taxonomy a pull raises -- for callers that
         want one ``except`` ladder across pull and push.
         """
         if self.ok:
             return
-        detail = self.state.failed or "stream ended before document completed"
-        message = f"subscriber {self.name!r}: {detail}"
-        if self.state.failed_sw == StatusWord.SECURITY_STATUS_NOT_SATISFIED:
-            raise TamperDetected(message, subject=self.name)
-        if self.state.failed_sw == StatusWord.MEMORY_FAILURE:
-            raise ResourceExhausted(message, subject=self.name)
-        raise TransportError(message, subject=self.name)
+        error = self.state.error or TransportError(
+            "stream ended before document completed"
+        )
+        error.subject = self.name
+        raise error

@@ -31,11 +31,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.delivery import ViewMode
+from repro.core.multicast import multicast_view_texts
 from repro.core.rules import Sign, Subject
 from repro.crypto.container import seal_document
 from repro.crypto.keys import DocumentKeys, random_key
 from repro.dissemination.channel import BroadcastChannel
-from repro.dissemination.publisher import StreamPublisher
 from repro.dsp.backends import SQLiteBackend, ShardedBackend, StoredDocument
 from repro.dsp.store import DSPStore
 from repro.errors import KeyNotGranted, PolicyError
@@ -64,19 +64,17 @@ if TYPE_CHECKING:
 class _TierState:
     """One tier's runtime wiring inside a feed."""
 
-    __slots__ = ("spec", "keyring", "channel", "publisher", "handles", "last_cycle")
+    __slots__ = ("spec", "keyring", "channel", "handles", "last_cycle")
 
     def __init__(
         self,
         spec: TierSpec,
         keyring: TierKeyring | None,
         channel: BroadcastChannel,
-        publisher: StreamPublisher,
     ) -> None:
         self.spec = spec
         self.keyring = keyring
         self.channel = channel
-        self.publisher = publisher
         self.handles: list[FeedSubscriberHandle] = []
         self.last_cycle: CycleSnapshot | None = None
 
@@ -112,12 +110,10 @@ class Feed:
         self.sealed = sealed
         self._tiers: dict[str, _TierState] = {}
         for spec in tiers:
-            channel = BroadcastChannel(clock=community.clock)
             self._tiers[spec.name] = _TierState(
                 spec,
                 None if sealed else TierKeyring.create(name, spec.name),
-                channel,
-                StreamPublisher(channel, registry=community.registry),
+                BroadcastChannel(clock=community.clock),
             )
         self._members: dict[str, str] = {}
         self._docs: list[Document] = [
@@ -292,7 +288,7 @@ class Feed:
             stored = [store.get(document.doc_id) for document in documents]
             for _ in range(cycles):
                 for record in stored:
-                    state.publisher.broadcast_document(record.container)
+                    state.channel.broadcast_document(record.container)
             state.last_cycle = self._snapshot_from_store(tier)
             self._persist_snapshot(state.last_cycle)
 
@@ -313,7 +309,6 @@ class Feed:
             tier: {doc.doc_id for doc in self.broadcast_list(tier)}
             for tier in self._tiers
         }
-        publisher = next(iter(self._tiers.values())).publisher
         for document in self._docs:
             lanes = [
                 tier
@@ -330,12 +325,13 @@ class Feed:
                     "feed previews need the owner's plaintext",
                     doc_id=document.doc_id,
                 )
-            passes = publisher.preview_views(
+            passes = multicast_view_texts(
                 events,
                 rules,
                 [Subject(tier_prefix(self.name, tier)) for tier in lanes],
                 default=Sign.DENY,
                 mode=mode,
+                registry=self.community.registry,
             )
             for tier in lanes:
                 views[tier].append(passes[tier_prefix(self.name, tier)])

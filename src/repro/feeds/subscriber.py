@@ -10,7 +10,9 @@ mid-cycle, or before a document even existed, needs no re-grant.
 
 Like the carousel's late joiner, frames arriving before the handle has
 engaged a document (the tail of a cycle already in progress) are
-counted and discarded; completed documents ignore repeat cycles.
+counted and discarded; completed documents ignore repeat cycles of the
+same version, while a header carrying a newer version (a republish)
+starts a new session whose view replaces the old one.
 
 Card refusals surface exactly as in the flat channel: recorded per
 document, converted to the typed :mod:`repro.errors` taxonomy by
@@ -22,6 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.delivery import ViewMode
+from repro.crypto.container import DocumentHeader
 from repro.dissemination.subscriber import Subscriber
 from repro.errors import KeyNotGranted, ReproError, TransportError
 from repro.feeds.keys import (
@@ -58,8 +61,10 @@ class FeedSubscriberHandle:
         self.keys = keys
         self._view_mode = view_mode
         self._transfer = transfer
+        #: One session per document, in first-engagement order, and the
+        #: container version it runs; a republish replaces the session.
         self._subscribers: dict[str, Subscriber] = {}
-        self._order: list[str] = []
+        self._versions: dict[str, int] = {}
         self._current: Subscriber | None = None
         self._provisioned: set[str] = set()
         #: Frames discarded before the handle engaged any document (the
@@ -84,7 +89,7 @@ class FeedSubscriberHandle:
             return
         if kind == "header":
             try:
-                self._current = self._engage(decode_header(payload).doc_id)
+                self._current = self._engage(decode_header(payload))
             except ReproError as exc:
                 # A key-resolution failure (e.g. a grant withdrawn
                 # between cycles) must not unwind the publisher's
@@ -100,9 +105,10 @@ class FeedSubscriberHandle:
         if kind == "end":
             self._current = None
 
-    def _engage(self, doc_id: str) -> Subscriber:
+    def _engage(self, header: DocumentHeader) -> Subscriber:
+        doc_id = header.doc_id
         subscriber = self._subscribers.get(doc_id)
-        if subscriber is not None:
+        if subscriber is not None and self._versions[doc_id] >= header.version:
             return subscriber
         if doc_id not in self._provisioned:
             secret = resolve_doc_secret(
@@ -127,16 +133,18 @@ class FeedSubscriberHandle:
             groups=frozenset({self.group}),
         )
         self._subscribers[doc_id] = subscriber
-        self._order.append(doc_id)
+        self._versions[doc_id] = header.version
         return subscriber
 
     # -- results ----------------------------------------------------------
 
     @property
     def views(self) -> dict[str, str]:
-        """Per-document authorized views, in first-engagement order."""
+        """Per-document authorized views of the latest version received,
+        in first-engagement order."""
         return {
-            doc_id: self._subscribers[doc_id].view for doc_id in self._order
+            doc_id: subscriber.view
+            for doc_id, subscriber in self._subscribers.items()
         }
 
     @property
@@ -145,7 +153,7 @@ class FeedSubscriberHandle:
         return "".join(self.views.values())
 
     def metrics_for(self, doc_id: str) -> SessionMetrics:
-        """The card/link metrics of one document's session."""
+        """The card/link metrics of one document's latest session."""
         subscriber = self._subscribers.get(doc_id)
         if subscriber is None:
             raise KeyNotGranted(

@@ -164,15 +164,9 @@ def encode_batch_records(members: "list[tuple[int, bytes]]") -> bytearray:
 
 @dataclass(frozen=True, slots=True)
 class BatchOutcome:
-    """Parsed result of one PUT_CHUNK_BATCH exchange.
-
-    ``completed`` is False when a frame came back with an error status
-    (``response`` then holds the failing frame's response and the
-    summary fields are zero).
-    """
+    """Parsed result of one PUT_CHUNK_BATCH exchange."""
 
     response: ResponseAPDU
-    completed: bool = False
     next_offset: int = 0
     done: bool = False
     consumed: int = 0
@@ -188,12 +182,12 @@ def transmit_chunk_batch(
 ) -> BatchOutcome:
     """Drive one full batch exchange through ``send``.
 
-    The terminal half of the PUT_CHUNK_BATCH protocol, shared by the
-    pull proxy and the push subscriber: encode the records, cut them
-    into frames, flag the last frame BATCH_FINAL, and parse the final
-    response -- ``next_offset:u64 done:u8 consumed:u16 dropped:u16
-    dropped_bytes:u32`` followed by the piggybacked output slice.
-    Stops at the first frame the card refuses.
+    The terminal half of the PUT_CHUNK_BATCH protocol: encode the
+    records, cut them into frames, flag the last frame BATCH_FINAL, and
+    parse the final response -- ``next_offset:u64 done:u8 consumed:u16
+    dropped:u16 dropped_bytes:u32`` followed by the piggybacked output
+    slice.  ``send`` raises on a frame the card refuses, which ends the
+    exchange there.
     """
     payload = encode_batch_records(members)
     frames = split_payload(payload, limit)
@@ -207,15 +201,12 @@ def transmit_chunk_batch(
                 data=frame,
             )
         )
-        if not response.ok:
-            return BatchOutcome(response=response)
     summary_size = struct.calcsize(BATCH_SUMMARY)
     next_offset, done, consumed, dropped, dropped_bytes = struct.unpack(
         BATCH_SUMMARY, response.data[:summary_size]
     )
     return BatchOutcome(
         response=response,
-        completed=True,
         next_offset=next_offset,
         done=bool(done),
         consumed=consumed,

@@ -1,5 +1,11 @@
 """The terminal-side proxy: XML API above, APDUs and DSP calls below.
 
+:class:`CardProxy` is the only code that speaks the card's session
+protocol, and it drives both of the paper's scenarios: pull sessions
+(:meth:`CardProxy.stream_query`, chunks fetched from the DSP) and push
+sessions (:class:`~repro.dissemination.subscriber.Subscriber`, chunks
+arriving off a broadcast channel, with no DSP at all).
+
 The proxy owns the *mechanics* of a session: fetching encrypted chunks
 from the DSP, framing them into APDUs, honouring the card's skip
 directives (it simply does not fetch or transmit skipped chunks -- that
@@ -108,21 +114,29 @@ class QueryOutcome:
 
 
 class CardProxy:
-    """Drives one smart card against one DSP."""
+    """Drives one smart card, against one DSP (pull) or none (push).
+
+    ``link_component`` names the clock component the card link's time
+    is charged to: ``"link"`` for a terminal's pull sessions,
+    ``"link:<subscriber>"`` for each card listening to a broadcast.
+    Without a DSP the proxy needs an explicit ``clock``.
+    """
 
     def __init__(
         self,
         card: SmartCard,
-        dsp: DSPClient,
+        dsp: DSPClient | None = None,
         link: LinkModel | None = None,
         clock: SimClock | None = None,
         transfer: TransferPolicy | None = None,
+        link_component: str = "link",
     ) -> None:
         self.card = card
         self.dsp = dsp
         self.link = link or LinkModel()
         self.clock = clock or dsp.clock
         self.transfer = transfer or TransferPolicy()
+        self.link_component = link_component
         self._selected = False
 
     # -- link ------------------------------------------------------------
@@ -136,8 +150,8 @@ class CardProxy:
         metrics.apdu_count += 1
         metrics.bytes_to_card += command.wire_size
         metrics.bytes_from_card += response.wire_size
-        self.clock.add("link", self.link.apdu_overhead_seconds)
-        self.clock.add("link", self.link.transfer_seconds(nbytes))
+        self.clock.add(self.link_component, self.link.apdu_overhead_seconds)
+        self.clock.add(self.link_component, self.link.transfer_seconds(nbytes))
         if not response.ok:
             raise _proxy_error(
                 f"card error {response.sw:#06x} during {context}",
@@ -221,13 +235,13 @@ class CardProxy:
         encoded_header = encode_header(header)
         metrics.dsp_requests += 1
         metrics.bytes_from_dsp += len(encoded_header)
-        self._transmit(
-            CommandAPDU(Instruction.PUT_HEADER, data=encoded_header),
-            metrics,
-            "put header",
-        )
+        self._put_header(encoded_header, metrics)
         outcome.doc_version = header.version
-        outcome.rules_version = self._send_rules(doc_id, metrics)
+        version, records = self.dsp.get_rules(doc_id)
+        metrics.dsp_requests += 1
+        metrics.bytes_from_dsp += sum(len(r) for r in records)
+        self._send_rules(version, records, metrics)
+        outcome.rules_version = version
         output = bytearray()
         chunk_cache: dict[int, bytes] = {}
         decoder = codecs.getincrementaldecoder("utf-8")()
@@ -251,9 +265,7 @@ class CardProxy:
         ):
             outcome.fragments.append((entry_id, text))
             yield ViewPiece("fragment", text, position=start, entry_id=entry_id)
-        self._fill_card_stats(metrics)
-        metrics.clock = self.clock.since(clock_snapshot)
-        metrics.card_cycles = self.card.soe.cycles_used - cycles_snapshot
+        self._fill_card_stats(metrics, clock_snapshot, cycles_snapshot)
 
     def _begin(
         self,
@@ -296,10 +308,16 @@ class CardProxy:
             "begin session",
         )
 
-    def _send_rules(self, doc_id: str, metrics: SessionMetrics) -> int:
-        version, records = self.dsp.get_rules(doc_id)
-        metrics.dsp_requests += 1
-        metrics.bytes_from_dsp += sum(len(r) for r in records)
+    def _put_header(self, encoded_header: bytes, metrics: SessionMetrics) -> None:
+        self._transmit(
+            CommandAPDU(Instruction.PUT_HEADER, data=encoded_header),
+            metrics,
+            "put header",
+        )
+
+    def _send_rules(
+        self, version: int, records: list[bytes], metrics: SessionMetrics
+    ) -> None:
         for index, record in enumerate(records):
             data = struct.pack(">Q", version) + record
             self._transmit(
@@ -312,7 +330,6 @@ class CardProxy:
                 metrics,
                 f"put rule {index}",
             )
-        return version
 
     # -- chunk fetch planning ------------------------------------------------
 
@@ -390,9 +407,16 @@ class CardProxy:
         batch: list[tuple[int, bytes]],
         metrics: SessionMetrics,
         policy: TransferPolicy,
+        output: bytearray,
     ) -> BatchOutcome:
-        """Send one chunk batch through the shared batch protocol."""
-        first, last = batch[0][0], batch[-1][0]
+        """Send one chunk batch to the card and collect its output.
+
+        Chunks count as sent once they go on the link; the members the
+        card then dropped undecrypted (a skip landed mid-batch) move to
+        the wasted counters.  The batch's piggybacked output and the
+        drain that follows land in ``output``.
+        """
+        metrics.chunks_sent += len(batch)
         if len(batch) == 1 and policy.apdu_batch == 1:
             # Degenerate policy: the paper's original PUT_CHUNK path.
             index, blob = batch[0]
@@ -407,22 +431,28 @@ class CardProxy:
                 f"put chunk {index}",
             )
             next_offset, done = struct.unpack(">QB", response.data[:9])
-            return BatchOutcome(
+            outcome = BatchOutcome(
                 response=response,
-                completed=True,
                 next_offset=next_offset,
                 done=bool(done),
                 consumed=1,
             )
-        # _transmit raises ProxyError on any refused frame, so the
-        # outcome always comes back completed here.
-        return transmit_chunk_batch(
-            lambda command: self._transmit(
-                command, metrics, f"put chunk batch {first}..{last}"
-            ),
-            batch,
-            self.link.max_command_payload,
-        )
+        else:
+            first, last = batch[0][0], batch[-1][0]
+            outcome = transmit_chunk_batch(
+                lambda command: self._transmit(
+                    command, metrics, f"put chunk batch {first}..{last}"
+                ),
+                batch,
+                self.link.max_command_payload,
+            )
+        metrics.chunks_sent -= outcome.dropped
+        metrics.chunks_wasted += outcome.dropped
+        metrics.bytes_wasted += outcome.dropped_bytes
+        output.extend(outcome.piggyback)
+        metrics.output_bytes += len(outcome.piggyback)
+        self._drain_output(metrics, output, outcome.response)
+        return outcome
 
     def _stream_document(
         self,
@@ -448,13 +478,7 @@ class CardProxy:
             )
             batch_end = min(index + policy.apdu_batch, header.chunk_count)
             batch = [(i, prefetched.pop(i)) for i in range(index, batch_end)]
-            outcome = self._transmit_batch(batch, metrics, policy)
-            metrics.chunks_sent += len(batch) - outcome.dropped
-            metrics.chunks_wasted += outcome.dropped
-            metrics.bytes_wasted += outcome.dropped_bytes
-            output.extend(outcome.piggyback)
-            metrics.output_bytes += len(outcome.piggyback)
-            self._drain_output(metrics, output, outcome.response)
+            outcome = self._transmit_batch(batch, metrics, policy, output)
             yield None
             if outcome.done:
                 break
@@ -477,12 +501,19 @@ class CardProxy:
         for blob in prefetched.values():
             metrics.chunks_wasted += 1
             metrics.bytes_wasted += len(blob)
+        self._refetch_entries = self._end_document(metrics, output)
+        yield None
+
+    def _end_document(
+        self, metrics: SessionMetrics, output: bytearray
+    ) -> list[tuple[int, int, int]]:
+        """Close the main pass; returns the granted refetch entries."""
         response = self._transmit(
             CommandAPDU(Instruction.END_DOCUMENT), metrics, "end document"
         )
-        self._refetch_entries = self._parse_refetch_pages(response, metrics)
+        entries = self._parse_refetch_pages(response, metrics)
         self._drain_output(metrics, output, response)
-        yield None
+        return entries
 
     def _parse_refetch_pages(
         self, first: ResponseAPDU, metrics: SessionMetrics
@@ -575,10 +606,18 @@ class CardProxy:
                 doc_id, start, count, metrics, chunk_cache, policy
             )
 
-    def _fill_card_stats(self, metrics: SessionMetrics) -> None:
+    def _fill_card_stats(
+        self,
+        metrics: SessionMetrics,
+        clock_snapshot: dict[str, float],
+        cycles_snapshot: float,
+    ) -> None:
+        """Close a session's metrics: card figures, time and cycles spent
+        since the snapshots taken when the session began."""
         soe = self.card.soe
         metrics.ram_high_water = soe.memory.high_water
-        metrics.card_cycles = soe.cycles_used
+        metrics.card_cycles = soe.cycles_used - cycles_snapshot
+        metrics.clock = self.clock.since(clock_snapshot)
         metrics.bytes_decrypted = self.card.applet.bytes_decrypted
         metrics.bytes_skipped = self.card.applet.bytes_skipped
         metrics.max_pending_bytes = self.card.applet.max_pending_bytes

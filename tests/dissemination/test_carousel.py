@@ -3,7 +3,7 @@
 from repro.core import reference_view
 from repro.crypto.container import seal_blob, seal_document
 from repro.crypto.keys import DocumentKeys
-from repro.dissemination.carousel import BroadcastCarousel, LateJoiningSubscriber
+from repro.dissemination.carousel import LateJoiningSubscriber
 from repro.dissemination.channel import BroadcastChannel
 from repro.dissemination.subscriber import Subscriber
 from repro.skipindex.encoder import IndexMode, encode_document
@@ -33,6 +33,11 @@ def _sealed_stream():
     return container, records, expected
 
 
+def _run_cycles(channel, container, cycles):
+    for __ in range(cycles):
+        channel.broadcast_document(container)
+
+
 def test_punctual_subscriber_completes_on_first_cycle():
     container, records, expected = _sealed_stream()
     channel = BroadcastChannel()
@@ -40,9 +45,8 @@ def test_punctual_subscriber_completes_on_first_cycle():
     soe.provision_key("tv", SECRET)
     subscriber = Subscriber("sub", SmartCard(soe), 1, records, clock=channel.clock)
     channel.subscribe(subscriber.on_frame)
-    carousel = BroadcastCarousel(channel)
-    carousel.run(container, cycles=2)
-    assert carousel.cycles_sent == 2
+    _run_cycles(channel, container, 2)
+    assert channel.frames_broadcast == 2 * (len(container.chunks) + 2)
     assert subscriber.ok
     assert subscriber.view == expected  # second cycle did not duplicate
 
@@ -50,12 +54,11 @@ def test_punctual_subscriber_completes_on_first_cycle():
 def test_late_joiner_recovers_on_next_cycle():
     container, records, expected = _sealed_stream()
     channel = BroadcastChannel()
-    publisher = BroadcastCarousel(channel)
 
     # First cycle starts with nobody listening; the subscriber tunes in
     # "mid-air" -- simulate by broadcasting one full cycle, then
     # subscribing a late joiner, then running the next cycle.
-    publisher.run(container, cycles=1)
+    _run_cycles(channel, container, 1)
 
     soe = SecureOperatingEnvironment(strict_memory=False)
     soe.provision_key("tv", SECRET)
@@ -63,7 +66,7 @@ def test_late_joiner_recovers_on_next_cycle():
         Subscriber("sub", SmartCard(soe), 1, records, clock=channel.clock)
     )
     channel.subscribe(late.on_frame)
-    publisher.run(container, cycles=1)
+    _run_cycles(channel, container, 1)
     assert late.ok
     assert late.view == expected
 
@@ -85,9 +88,8 @@ def test_mid_cycle_joiner_skips_partial_frames():
     assert late.frames_missed == 3
     assert not late.joined
 
-    BroadcastCarouselChannel = BroadcastCarousel(channel)
     channel.subscribe(late.on_frame)
-    BroadcastCarouselChannel.run(container, cycles=1)
+    _run_cycles(channel, container, 1)
     assert late.joined and late.ok
     assert late.view == expected
 
@@ -100,7 +102,7 @@ def test_carousel_cycles_are_byte_deterministic():
     channel = BroadcastChannel()
     frames = []
     channel.subscribe(lambda kind, index, blob: frames.append((kind, index, blob)))
-    BroadcastCarousel(channel).run(container, cycles=2)
+    _run_cycles(channel, container, 2)
     assert len(frames) % 2 == 0
     half = len(frames) // 2
     assert frames[:half] == frames[half:]
@@ -116,6 +118,6 @@ def test_carousel_same_version_not_replay():
     subscriber = Subscriber("sub", SmartCard(soe), 1, records, clock=channel.clock)
     late = LateJoiningSubscriber(subscriber)
     channel.subscribe(late.on_frame)
-    BroadcastCarousel(channel).run(container, cycles=3)
+    _run_cycles(channel, container, 3)
     assert late.ok
     assert subscriber.card.soe.version_register("tv") == 1

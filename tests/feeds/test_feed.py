@@ -281,3 +281,52 @@ def test_member_subscribe_sugar():
     feed.broadcast()
     handle.require_ok()
     assert handle.view == "<r>x</r>"
+
+
+def test_member_session_metrics_are_per_document():
+    """Each document's session reports its own card cycles and time
+    and the engine's dispatch counters, as a pull session does."""
+    community = Community()
+    owner = community.enroll("owner")
+    community.enroll("alice", strict_memory=False)
+    feed = community.feed("intel", owner=owner, tiers=TIERS)
+    for doc_id in ("d0", "d1", "d2"):
+        feed.publish(REPORT, doc_id=doc_id)
+    handle = feed.subscribe("alice", "partner")
+    feed.broadcast()
+    handle.require_ok()
+    metrics = [handle.metrics_for(doc_id) for doc_id in ("d0", "d1", "d2")]
+    assert metrics[0].card_cycles > 0
+    assert [m.card_cycles for m in metrics] == [metrics[0].card_cycles] * 3
+    card_cycles = handle.member.terminal.card.soe.cycles_used
+    assert sum(m.card_cycles for m in metrics) <= card_cycles
+    for m in metrics:
+        assert m.clock is not community.clock
+        assert 0 < m.clock.total() < community.clock.total()
+        assert m.clock.component("link:alice") > 0
+        assert m.events_pumped > 0
+
+
+def test_republished_document_replaces_the_members_view():
+    """A header carrying a newer version starts a new session: the
+    member's view follows the republish, as the preview and a fresh
+    joiner do."""
+    community, feed, handles = _feed_community()
+    feed.broadcast()
+    alice = handles["alice"]
+    assert alice.views["rpt"] == "<report><summary>sum</summary></report>"
+    feed.publish(
+        "<report><summary>v2</summary><body>b</body></report>", doc_id="rpt"
+    )
+    feed.broadcast()
+    community.enroll("dave", strict_memory=False)
+    fresh = feed.subscribe("dave", "public")
+    feed.broadcast()
+    expected = "<report><summary>v2</summary></report>"
+    assert feed.preview()["public"] == expected
+    assert fresh.views["rpt"] == expected
+    assert alice.views["rpt"] == expected
+    assert alice.view == expected
+    alice.require_ok()
+    assert alice.docs_complete == 1
+    assert handles["carol"].views["rpt"].startswith("<report><summary>v2")
